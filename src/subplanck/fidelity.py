@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import GridResolutionError, QuadratureError
-from .fock import PureState, quad_moments
+from .fock import PureState, _m_slabs, quad_moments
 from .phasespace import (
     cached_default_wigner,
     char_on_polar,
@@ -109,15 +109,17 @@ class ScaleReport:
 # quadrature forms
 # ---------------------------------------------------------------------------
 
-def _char_sq_quadrature(state, decay, damping, prefactor, rtol=1e-8):
-    """prefactor * int (d2mu/pi) damping(x) |Phi|^2, x = |mu|^2.
+def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol=1e-8):
+    """prefactor * int (d2mu/pi) damping(x) f(mu), x = |mu|^2, sized from the support.
 
-    `damping` must be a pure exponential e^{-a x} and `decay` = 1 + a the
-    total radial decay rate it makes with the e^{-x} of |Phi|^2; the
-    Gauss-Laguerre nodes are placed for `decay`, so the rule sees
-    e^{-decay x} times a polynomial.  With D = 1 + the highest Fock index
-    the trimmed diagonals keep, that polynomial has, after the angular
-    average, degree <= 2(D-1) in x, and its angular harmonics satisfy
+    `angular_mean(x, theta, wtheta)` returns the angular average of f on
+    each radial node.  `damping` must be a pure exponential e^{-a x} and
+    `decay` = 1 + a the total radial decay rate it makes with the e^{-x}
+    that f carries as a quadratic form in displacement elements of the
+    state, so the Gauss-Laguerre rule sees e^{-decay x} times a
+    polynomial.  With D = 1 + the highest Fock index the trimmed
+    diagonals keep, that polynomial has, after the angular average,
+    degree <= 2(D-1) in x, and its angular harmonics satisfy
     |k| <= 2(D-1); D radial and 2D-1 angular nodes integrate it exactly,
     and the estimate comes from that rule.  A rule one radial and two
     angular nodes larger cross-checks it: if the two differ by more than
@@ -127,14 +129,23 @@ def _char_sq_quadrature(state, decay, damping, prefactor, rtol=1e-8):
     est = []
     for n_rad, n_ang in ((support, 2 * support - 1), (support + 1, 2 * support + 1)):
         x, theta, wx, wt = polar_rule(decay, n_rad, n_ang)
-        phi = char_on_polar(state, x, theta)
-        radial = np.sum(np.abs(phi) ** 2 * wt[None, :], axis=1)
+        radial = angular_mean(x, theta, wt)
         est.append(prefactor * float(np.sum(wx * damping(x) * radial)))
     if abs(est[1] - est[0]) > rtol * max(1.0, abs(est[0])):
         raise QuadratureError(
-            f"characteristic-function quadrature estimates disagree: {est[0]!r} vs {est[1]!r}"
+            f"polar quadrature estimates disagree: {est[0]!r} vs {est[1]!r}"
         )
     return est[0]
+
+
+def _char_sq_quadrature(state, decay, damping, prefactor, rtol=1e-8):
+    """prefactor * int (d2mu/pi) damping(x) |Phi|^2, x = |mu|^2 (see above)."""
+
+    def angular_mean(x, theta, wt):
+        phi = char_on_polar(state, x, theta)
+        return np.sum(np.abs(phi) ** 2 * wt[None, :], axis=1)
+
+    return _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol)
 
 
 def _grid_pair_form(state, t, form, resolution=256, rtol=2e-5):
@@ -288,22 +299,14 @@ def random_avg_fidelity(dim, t) -> float:
     damp = w * np.exp(-t * x / 2.0)
 
     # lam[k] = <k|D|k> radial part; sum over pairs separates
-    from .fock import _m_seq
-
+    ds = np.arange(dim)
     lam_sum = np.zeros_like(x)
-    seq = _m_seq(0, x)
-    for _ in range(dim):
-        lam_sum += next(seq)
-    total = float(np.sum(damp * lam_sum**2))
-
-    for d in range(dim):
-        seq = _m_seq(d, x)
-        s_d = np.zeros_like(x)
-        for _ in range(dim - d):
-            m = next(seq)
-            s_d += m * m
-        total += (1.0 if d == 0 else 2.0) * float(np.sum(damp * s_d))
-    return total / (dim * (dim + 1))
+    sq_sums = np.zeros((dim, x.size))
+    for slab in _m_slabs(ds, dim - ds, x):
+        lam_sum += slab[0]
+        sq_sums[: slab.shape[0]] += slab * slab
+    pairs = np.where(ds > 0, 2.0, 1.0) @ sq_sums
+    return float(np.sum(damp * (lam_sum**2 + pairs))) / (dim * (dim + 1))
 
 
 def random_avg_fidelity_series(dim, t) -> float:
@@ -411,8 +414,3 @@ def scale_report(state, label="") -> ScaleReport:
 def quadrature_curve(state, ts, form=4, label="") -> FidelityCurve:
     f = np.array([fidelity_quadrature(state, t, form) for t in ts])
     return FidelityCurve(np.asarray(ts, float), f, state=label, method=f"form{form}")
-
-
-def closed_curve(fn, ts, label="", method="closed-form") -> FidelityCurve:
-    f = np.array([fn(t) for t in ts])
-    return FidelityCurve(np.asarray(ts, float), f, state=label, method=method)

@@ -13,7 +13,13 @@ Displacement matrix elements <m|D(mu)|n> are evaluated through scaled
 generalized-Laguerre recurrences whose iterates are the matrix elements
 themselves (magnitude <= 1), so they neither overflow nor underflow for
 any truncation or displacement used here; factorial ratios enter only
-through log-gammas.
+through log-gammas.  One private kernel, `_radial_slabs`, runs that
+recurrence along n for all requested offsets d and all points at once,
+yielding one slab R_n[d, point] per step; every radial sum in the
+package (displacement matrices, characteristic functions, s-ordered
+quasidistributions, the averaged channel, ensemble and entanglement
+fidelities) contracts those slabs, so a call costs as many Python steps
+as the longest diagonal it needs.
 """
 
 import warnings
@@ -115,11 +121,7 @@ class PureState:
         return PureState(c, normalize=False, fix_phase=False)
 
     def overlap(self, other) -> complex:
-        n = min(self.dim, other.dim)
-        extra_self = np.sum(np.abs(self.coeffs[n:]) ** 2)
-        extra_other = np.sum(np.abs(other.coeffs[n:]) ** 2)
-        if max(extra_self, extra_other) > 1e-12:
-            pass  # tails beyond the common dim simply do not overlap
+        n = min(self.dim, other.dim)  # tails beyond the common dim do not overlap
         return complex(np.vdot(self.coeffs[:n], other.coeffs[:n]))
 
 
@@ -191,32 +193,71 @@ class ThermalParams:
 # displacement matrix elements
 # ---------------------------------------------------------------------------
 
-def _m_start(d, x):
-    """M_0 = sqrt(1/d!) |mu|^d e^{-x/2} with x = |mu|^2, in log domain."""
+def _log_start(ds, log_y, decay):
+    """Rows exp(d log(y) / 2 - log(d!) / 2 - decay), one per offset in ds.
+
+    The first iterate of the radial kernel, formed in the log domain so
+    large offsets and far points underflow cleanly to 0; row d = 0 is
+    exp(-decay) also where y = 0 (log_y = -inf).
+    """
+    ds = np.asarray(ds)[:, None]
+    with np.errstate(invalid="ignore"):
+        power = np.where(ds > 0, 0.5 * ds * log_y, 0.0)
+    return np.exp(power - 0.5 * gammaln(ds + 1) - decay)
+
+
+def _radial_slabs(ds, counts, start, sig, sig_y):
+    """Scaled generalized-Laguerre recurrence along n, vectorized over offsets and points.
+
+    Yields the slabs R_n, n = 0 .. counts[0] - 1, where row i of R_n is the
+    n-th iterate for offset d = ds[i] over the 1-D point array sig_y:
+
+        R_{n+1} = ((sig (2n+1+d) - sig_y) R_n - sig^2 sqrt(n (n+d)) R_{n-1})
+                  / sqrt((n+1) (n+1+d)),     R_0 = start, R_{-1} = 0.
+
+    With sig = 1 and sig_y = x the iterates are the displacement elements
+    M_n^(d)(x) (see `_m_slabs`); phasespace drives the s-ordered kernel
+    through the same recurrence.  `counts` (iterates wanted per row) must
+    be nonincreasing: R_n holds only the leading rows with counts > n, so a
+    call costs counts[0] Python steps.  The slabs are read-only.
+    """
+    counts = np.asarray(counts)
+    steps = int(counts[0]) if counts.size else 0
+    active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
+    d = np.asarray(ds, dtype=float)[:, None]
+    sig2 = sig * sig
+    cur, prev = start, np.zeros_like(start)
+    for n in range(steps):
+        k = active[n]
+        cur, prev = cur[:k], prev[:k]
+        if n:
+            m, dk = n - 1, d[:k]
+            nxt = np.subtract(sig * (2 * m + 1 + dk), sig_y)
+            nxt *= cur
+            nxt -= sig2 * np.sqrt(m * (m + dk)) * prev
+            nxt /= np.sqrt((m + 1) * (m + 1 + dk))
+            cur, prev = nxt, cur
+        yield cur
+
+
+def _m_slabs(ds, counts, x):
+    """`_radial_slabs` for M_n^(d)(x) = sqrt(n!/(n+d)!) x^(d/2) e^(-x/2) L_n^(d)(x).
+
+    These are the magnitudes of <n|D(mu)|n+d> at x = |mu|^2, bounded by 1
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
+    """
     x = np.asarray(x, dtype=float)
-    if d == 0:
-        return np.exp(-x / 2)
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0, np.log(x), -np.inf)
-    return np.exp(0.5 * d * logx - 0.5 * gammaln(d + 1) - x / 2)
+    return _radial_slabs(ds, counts, _log_start(ds, logx, x / 2), 1.0, x)
 
 
-def _m_seq(d, x):
-    """Yield M_n = sqrt(n!/(n+d)!) |mu|^d e^{-x/2} L_n^{(d)}(x), n = 0, 1, ...
-
-    These are the magnitudes of <n|D(mu)|n+d>, bounded by 1.
-    """
-    m_prev = 0.0
-    m = _m_start(d, x)
-    n = 0
-    while True:
-        yield m
-        m, m_prev = (
-            ((2 * n + 1 + d - x) * m - np.sqrt(n * (n + d)) * m_prev)
-            / np.sqrt((n + 1) * (n + 1 + d)),
-            m,
-        )
-        n += 1
+def _unit_powers(z, count):
+    """z^0 .. z^(count-1) along a new last axis, by repeated multiplication."""
+    out = np.empty(z.shape + (count,), dtype=complex)
+    out[..., 0] = 1.0
+    out[..., 1:] = z[..., None]
+    return np.cumprod(out, axis=-1, out=out)
 
 
 def displacement_element(m, n, mu) -> complex:
@@ -226,11 +267,8 @@ def displacement_element(m, n, mu) -> complex:
     muc = _as_complex(mu)
     x = abs(muc) ** 2
     d = abs(m - n)
-    k = min(m, n)
-    seq = _m_seq(d, x)
-    for _ in range(k):
-        next(seq)
-    mag = next(seq)
+    *_, last = _m_slabs([d], [min(m, n) + 1], np.array([x]))
+    mag = float(last[0, 0])
     if not np.isfinite(mag):
         raise OverflowError("displacement element lost finiteness")
     if x == 0:
@@ -241,53 +279,38 @@ def displacement_element(m, n, mu) -> complex:
     return complex(mag * np.conj(phase) * (-1) ** d)
 
 
-def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
-    """Dense matrix <m|D(mu)|n> for m < rows (default dim), n < dim."""
+def displacement_matrices(dim, mus, rows=None) -> np.ndarray:
+    """Stack of matrices <m|D(mu)|n>, m < rows (default dim), n < dim.
+
+    Shape (len(mus), rows, dim).  One radial-kernel pass fills every
+    offset: <n+d|D|n> = e^{+i d phi} M_n^(d) and <n|D|n+d> =
+    (-1)^d e^{-i d phi} M_n^(d), mu = |mu| e^{i phi}.
+    """
     if rows is None:
         rows = dim
-    muc = _as_complex(mu)
-    x = abs(muc) ** 2
-    out = np.zeros((rows, dim), dtype=complex)
-    if x == 0:
-        np.fill_diagonal(out, 1.0)
-        return out
-    phase1 = muc / abs(muc)
-    for d in range(max(rows, dim)):
-        phase = phase1**d
-        if d == 0:
-            seq = _m_seq(0, x)
-            for n in range(min(rows, dim)):
-                out[n, n] = next(seq)
-            continue
-        # rows index n, columns n+d: <n|D|n+d> = (-1)^d e^{-id phi} M_n
-        seq = _m_seq(d, x)
-        for n in range(min(rows, dim - d)):
-            out[n, n + d] = next(seq) * np.conj(phase) * (-1) ** d
-        # rows index n+d, columns n: <n+d|D|n> = e^{+id phi} M_n
-        seq = _m_seq(d, x)
-        for n in range(min(rows - d, dim)):
-            out[n + d, n] = next(seq) * phase
-    return out
-
-
-def displacement_matrices(dim, mus) -> np.ndarray:
-    """Stack of displacement matrices, shape (len(mus), dim, dim)."""
     mus = np.asarray(mus, dtype=complex).ravel()
     x = np.abs(mus) ** 2
     with np.errstate(invalid="ignore"):
         unit = np.where(x > 0, mus / np.where(x > 0, np.abs(mus), 1.0), 1.0)
-    out = np.zeros((mus.size, dim, dim), dtype=complex)
-    for d in range(dim):
-        phase = unit**d
-        seq = _m_seq(d, x)
-        for n in range(dim - d):
-            val = next(seq)
-            if d == 0:
-                out[:, n, n] = val
-            else:
-                out[:, n, n + d] = val * np.conj(phase) * (-1) ** d
-                out[:, n + d, n] = val * phase
-    return out
+    ds = np.arange(max(rows, dim))
+    counts = np.maximum(np.minimum(rows, dim - ds), np.minimum(rows - ds, dim))
+    mags = np.zeros((mus.size, rows, dim))
+    for n, slab in enumerate(_m_slabs(ds, counts, x)):
+        if n < rows:  # <n|D|n+d>, d >= 0
+            hi = min(slab.shape[0], dim - n)
+            mags[:, n, n : n + hi] = slab[:hi].T
+        if n < dim:  # <n+d|D|n>, d >= 1
+            lo = min(slab.shape[0], rows - n)
+            mags[:, n + 1 : n + lo, n] = slab[1:lo].T
+    offset = np.arange(rows)[:, None] - np.arange(dim)[None, :]
+    below = _unit_powers(unit, rows)[:, np.clip(offset, 0, None)]
+    above = _unit_powers(-np.conj(unit), dim)[:, np.clip(-offset, 0, None)]
+    return mags * np.where(offset >= 0, below, above)
+
+
+def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
+    """Dense matrix <m|D(mu)|n> for m < rows (default dim), n < dim."""
+    return displacement_matrices(dim, [_as_complex(mu)], rows)[0]
 
 
 def displace_state(state: PureState, mu, out_dim=None) -> np.ndarray:

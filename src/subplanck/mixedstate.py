@@ -15,18 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubplanckError
-from .fidelity import ScaleReport, as_t
+from .fidelity import ScaleReport, _char_sq_quadrature, _sized_polar_quadrature, as_t
 from .fock import (
     DensityOp,
     PureState,
     _as_complex,
-    _m_seq,
+    _m_slabs,
     displacement_matrices,
     displacement_matrix,
     quad_moments,
 )
-from .phasespace import char_on_polar
-from .quadrature import polar_rule, radial_rule
+from .phasespace import state_diagonals
 
 DOUBLED_SPACE_LIMIT = 32
 
@@ -81,15 +80,12 @@ def bold_w(rho, beta, nu) -> float:
 def _bold_phi_diag_radial(probs, x):
     """PHI(mu, mu) for diagonal rho: sum over |<m|D|n>|^2, radial only."""
     dim = probs.size
+    ds = np.arange(dim)
+    pairs = np.where(ds > 0, 2.0, 1.0)  # (n+d, n) and (n, n+d) for d > 0
     out = np.zeros_like(x)
-    for d in range(dim):
-        seq = _m_seq(d, x)
-        s = np.zeros_like(x)
-        for n in range(dim - d):
-            m = next(seq)
-            out_w = probs[n + d] * probs[n]
-            s += out_w * m * m
-        out += (1.0 if d == 0 else 2.0) * s
+    for n, slab in enumerate(_m_slabs(ds, dim - ds, x)):
+        k = slab.shape[0]
+        out += (pairs[:k] * probs[n : n + k] * probs[n]) @ (slab * slab)
     return out
 
 
@@ -111,46 +107,49 @@ def _bold_phi_equal_batch(evals, evecs, mus, chunk=256):
 def entanglement_fidelity(rho, t) -> float:
     """Outcome-averaged entanglement fidelity, int d2mu Ptilde(mu) PHI(mu, mu).
 
-    Radial-angular quadrature exact for the truncated state; reduces to
-    the ordinary average fidelity when rho is pure.
+    Radial-angular quadrature exact for the truncated state, sized from
+    its trimmed Fock support like the pure-state forms; reduces to the
+    ordinary average fidelity when rho is pure.
     """
     rho = _as_density(rho)
     t = as_t(t)
     if t == 0:
         return 1.0
-    dim = rho.dim
-    off_diag = np.max(np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix))))
-    c = 1.0 + t / 2.0
-    n_rad = max(64, 2 * dim + 2)
+    support = max(d + w.size for d, w in state_diagonals(rho))
+    mat = rho.matrix[:support, :support]
+    off_diag = np.max(np.abs(mat - np.diag(np.diagonal(mat))))
     if off_diag < 1e-14:
-        x, wx = radial_rule(c, n_rad)
-        vals = _bold_phi_diag_radial(np.real(np.diagonal(rho.matrix)), x)
-        return float(np.sum(wx * np.exp(-t * x / 2.0) * vals))
-    if dim > DOUBLED_SPACE_LIMIT:
-        raise SubplanckError(
-            f"general mixed-state quadrature limited to dim <= {DOUBLED_SPACE_LIMIT}"
-        )
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    evals = np.clip(evals, 0.0, None)
-    x, theta, wx, wt = polar_rule(c, n_rad, max(64, 4 * dim + 4))
-    mus = np.sqrt(x)[:, None] * np.exp(1j * theta)[None, :]
-    vals = _bold_phi_equal_batch(evals, evecs, mus).reshape(mus.shape)
-    radial = vals @ wt
-    return float(np.sum(wx * np.exp(-t * x / 2.0) * radial))
+        probs = np.real(np.diagonal(mat))
+
+        def angular_mean(x, theta, wt):
+            return _bold_phi_diag_radial(probs, x)
+
+    else:
+        if rho.dim > DOUBLED_SPACE_LIMIT:
+            raise SubplanckError(
+                f"general mixed-state quadrature limited to dim <= {DOUBLED_SPACE_LIMIT}"
+            )
+        evals, evecs = np.linalg.eigh(mat)
+        evals = np.clip(evals, 0.0, None)
+
+        def angular_mean(x, theta, wt):
+            mus = np.sqrt(x)[:, None] * np.exp(1j * theta)[None, :]
+            return _bold_phi_equal_batch(evals, evecs, mus).reshape(mus.shape) @ wt
+
+    return _sized_polar_quadrature(rho, 1.0 + t / 2.0, lambda x: np.exp(-t * x / 2.0), 1.0,
+                                   angular_mean)
 
 
 def entanglement_fidelity_direct(rho, t) -> float:
-    """Same quantity from the noise-distribution side: int d2nu P(nu)|Phi|^2."""
+    """Same quantity from the noise-distribution side: int d2nu P(nu)|Phi|^2.
+
+    This is fidelity form 1 applied to rho, with its support-sized rule.
+    """
     rho = _as_density(rho)
     t = as_t(t)
     if t == 0:
         return 1.0
-    dim = rho.dim
-    c = 1.0 + 2.0 / t
-    x, theta, wx, wt = polar_rule(c, max(64, dim + 1), max(64, 2 * dim + 2))
-    phi = char_on_polar(rho, x, theta)
-    radial = np.abs(phi) ** 2 @ wt
-    return float((2.0 / t) * np.sum(wx * np.exp(-2.0 * x / t) * radial))
+    return _char_sq_quadrature(rho, 1.0 + 2.0 / t, lambda x: np.exp(-2.0 * x / t), 2.0 / t)
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,39 @@ Pointwise evaluation is organized by diagonals of the density matrix:
 both the characteristic function and every s <= 0 quasidistribution are
 sums over offsets d of radial functions (scaled generalized-Laguerre
 recurrences, bounded by construction) times angular phases e^{i d phi}.
-The Wigner function is the s = 0 member, evaluated through the parity
-form of the quasiprobability operator (2 D(2 alpha) (-1)^n), so no grid
-Fourier transforms enter the primary path.
+The radial functions come from the single vectorized kernel of `fock`,
+one slab over all offsets and points per step n, so an evaluation costs
+as many Python steps as the state's longest kept diagonal; arbitrary
+point sets are processed in chunks of at most CHUNK_ELEMENTS slab
+values, and each offset's phase is applied once, after its n-sum, by
+Horner's rule.  The Wigner function is the s = 0 member, evaluated
+through the parity form of the quasiprobability operator
+(2 D(2 alpha) (-1)^n), so no grid Fourier transforms enter the primary
+path.
 """
 
 import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import gammaln
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import GridResolutionError, QuadratureError
-from .fock import ComplexAmplitude, DensityOp, PureState, _as_complex, _m_seq, quad_moments
+from .fock import (
+    ComplexAmplitude,
+    DensityOp,
+    PureState,
+    _as_complex,
+    _log_start,
+    _m_slabs,
+    _radial_slabs,
+    quad_moments,
+)
 from .quadrature import gauss_hermite
 
 VACUUM_WIDTH = 1.0 / np.sqrt(2.0)
+# Largest kernel slab (offsets x points) held at once by pointwise kernels.
+CHUNK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -142,62 +158,94 @@ def state_diagonals(state, noise_floor=1e-18):
     return out
 
 
-def _t_seq(s, d, r2):
-    """Yield radial parts of <n+d| T^(s)(alpha) |n> (phase e^{i d phi} removed).
+def _radial_sums(diags, slabs, npts):
+    """A[i] = sum_n w_i[n] R_n[d_i] for diags [(d_i, w_i)], from one kernel pass.
+
+    `slabs(ds, counts)` runs the radial kernel on the caller's npts points;
+    rows are handed to it by decreasing length and returned in diags order.
+    """
+    counts = np.array([w.size for _, w in diags])
+    order = np.argsort(-counts, kind="stable")
+    ds = np.array([diags[i][0] for i in order])
+    weights = np.zeros((len(diags), counts.max()), dtype=complex)
+    for row, i in enumerate(order):
+        weights[row, : counts[i]] = diags[i][1]
+    acc = np.zeros((len(diags), npts), dtype=complex)
+    for n, slab in enumerate(slabs(ds, counts[order])):
+        acc[: slab.shape[0]] += weights[: slab.shape[0], n, None] * slab
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _phase_series(coef, ds, z):
+    """sum_i coef[i] z^ds[i] (ds ascending) by Horner's rule over the gaps."""
+    powers = {}
+
+    def power(g):
+        if g not in powers:
+            p = np.ones_like(z)
+            for _ in range(g):
+                p = p * z
+            powers[g] = p
+        return powers[g]
+
+    acc = coef[-1]
+    for i in range(len(ds) - 2, -1, -1):
+        acc = acc * power(ds[i + 1] - ds[i]) + coef[i]
+    return acc * power(ds[0]) if ds[0] else acc
+
+
+def _angular_accumulate(diags, points, slabs, combine):
+    """Offset sums of a radial kernel on arbitrary complex points.
+
+    Points are processed in chunks of at most CHUNK_ELEMENTS // len(diags),
+    so no kernel slab exceeds CHUNK_ELEMENTS values.  For each chunk,
+    combine(A, ds, unit) turns the per-offset radial sums A (rows in diags
+    order, offsets ds) and the unit phasors unit = e^{i phi} into values.
+    """
+    pts = np.asarray(points, dtype=complex)
+    flat = pts.ravel()
+    ds = np.array([d for d, _ in diags])
+    out = np.empty(flat.shape, dtype=complex)
+    chunk = max(1, CHUNK_ELEMENTS // len(diags))
+    for lo in range(0, flat.size, chunk):
+        p = flat[lo : lo + chunk]
+        mag = np.abs(p)
+        with np.errstate(invalid="ignore"):
+            unit = np.where(mag > 0, p / np.where(mag > 0, mag, 1.0), 1.0)
+        sums = _radial_sums(diags, lambda ds, counts: slabs(ds, counts, mag * mag), p.size)
+        out[lo : lo + chunk] = combine(sums, ds, unit)
+    return out.reshape(pts.shape)
+
+
+def _t_slabs(s, ds, counts, r2):
+    """Radial parts of <n+d| T^(s)(alpha) |n> (phase e^{i d phi} removed).
 
     T^(s) is the operator whose trace against rho gives pi W^(s); the
     iterates stay bounded by 2/(1-s) for all s <= 0, including the
     endpoint s = -1 where they collapse onto coherent-state overlaps.
     """
-    r2 = np.asarray(r2, dtype=float)
     one_minus = 1.0 - s
     sig = (s + 1.0) / (s - 1.0)
     sig_y = -4.0 * r2 / one_minus**2  # sigma * y, finite for every s < 1
     with np.errstate(divide="ignore"):
-        logr2 = np.where(r2 > 0, np.log(r2), -np.inf)
-    log0 = -2.0 * r2 / one_minus - 0.5 * gammaln(d + 1)
-    if d > 0:
-        log0 = log0 + 0.5 * d * (logr2 + 2 * np.log(2.0 / one_minus))
-    t_prev = 0.0
-    t_cur = (2.0 / one_minus) * np.exp(log0)
-    n = 0
-    while True:
-        yield t_cur
-        t_cur, t_prev = (
-            ((sig * (2 * n + 1 + d) - sig_y) * t_cur - sig * sig * np.sqrt(n * (n + d)) * t_prev)
-            / np.sqrt((n + 1) * (n + 1 + d)),
-            t_cur,
-        )
-        n += 1
-
-
-def _angular_accumulate(diags, points, radial_factory, combine):
-    """Shared offset-sum driver for kernels on arbitrary complex points."""
-    pts = np.asarray(points, dtype=complex)
-    r2 = np.abs(pts) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(np.abs(pts) > 0, pts / np.where(np.abs(pts) > 0, np.abs(pts), 1.0), 1.0)
-    acc = np.zeros(pts.shape, dtype=complex)
-    for d, w in diags:
-        phase = unit**d if d else np.ones_like(pts)
-        seq = radial_factory(d, r2)
-        for n in range(w.size):
-            rad = next(seq)
-            acc += combine(d, w[n], phase, rad)
-    return acc
+        log_y = np.where(r2 > 0, np.log(r2), -np.inf) + 2 * np.log(2.0 / one_minus)
+    start = (2.0 / one_minus) * _log_start(ds, log_y, 2.0 * r2 / one_minus)
+    return _radial_slabs(ds, counts, start, sig, sig_y)
 
 
 def squasi_values(state, s, points):
     """W^(s) at complex points, by the closed offset-diagonal kernel."""
-    diags = state_diagonals(state)
 
-    def combine(d, wn, phase, rad):
-        if d == 0:
-            return (wn.real * rad).astype(complex)
-        # pairs (n+d, n) and (n, n+d): 2 Re(w e^{-i d phi}) * radial
-        return 2.0 * (wn * np.conj(phase)).real * rad
+    def combine(sums, ds, unit):
+        # pairs (n+d, n) and (n, n+d) give 2 Re(A_d e^{-i d phi}); d = 0 once
+        total = 2.0 * _phase_series(sums, ds, np.conj(unit)).real
+        return total - sums[0].real if ds[0] == 0 else total
 
-    acc = _angular_accumulate(diags, points, lambda d, r2: _t_seq(s, d, r2), combine)
+    acc = _angular_accumulate(
+        state_diagonals(state), points, lambda ds, counts, r2: _t_slabs(s, ds, counts, r2), combine
+    )
     return acc.real / np.pi
 
 
@@ -207,35 +255,29 @@ def wigner_values(state, points):
 
 def char_values(state, points):
     """Characteristic function tr[rho D(mu)] at complex points mu."""
-    diags = state_diagonals(state)
 
-    def combine(d, wn, phase, rad):
-        if d == 0:
-            return wn * rad + 0j
+    def combine(sums, ds, unit):
         # <n|D|n+d> carries (-1)^d e^{-id phi}, <n+d|D|n> carries e^{+id phi}
-        return (wn * (-1) ** d * np.conj(phase) + np.conj(wn) * phase) * rad
+        total = _phase_series(sums, ds, -np.conj(unit)) + _phase_series(np.conj(sums), ds, unit)
+        return total - sums[0] if ds[0] == 0 else total
 
-    return _angular_accumulate(diags, points, _m_seq, combine)
+    return _angular_accumulate(state_diagonals(state), points, _m_slabs, combine)
 
 
 def char_on_polar(state, x, theta):
     """Characteristic function at mu = sqrt(x) e^{i theta} (outer grid).
 
     Returns a (len(x), len(theta)) complex array; the radial and angular
-    structures separate, so this costs one small matrix product.
+    structures separate, so this costs one kernel pass over the radial
+    nodes and one small matrix product.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     diags = state_diagonals(state)
-    dim = max(d for d, _ in diags) + 1
-    q = np.zeros((dim, x.size), dtype=complex)
-    for d, w in diags:
-        seq = _m_seq(d, x)
-        row = np.zeros(x.size, dtype=complex)
-        for n in range(w.size):
-            row += w[n] * next(seq)
-        q[d] = row
-    ds = np.arange(dim)
+    ds = np.array([d for d, _ in diags])
+    q = np.zeros((ds[-1] + 1, x.size), dtype=complex)
+    q[ds] = _radial_sums(diags, lambda ds, counts: _m_slabs(ds, counts, x), x.size)
+    ds = np.arange(q.shape[0])
     e_plus = np.exp(1j * np.outer(theta, ds))  # (M, D)
     signs = (-1.0) ** ds
     out = (np.conj(e_plus) * signs) @ q + e_plus @ np.conj(q)
@@ -404,6 +446,22 @@ def overlap(rho1, rho2, resolution=256, mismatch_tol=1e-3) -> OverlapResult:
 # ---------------------------------------------------------------------------
 # grid kernels shared with the fidelity/protocol modules
 # ---------------------------------------------------------------------------
+
+def fftconvolve(in1, in2, mode="same"):
+    """Linear convolution of real arrays, cropped to in1's shape and centre.
+
+    Real FFTs at fast lengths of the full output shape; the same
+    arithmetic as scipy.signal.fftconvolve(in1, in2, mode="same"), without
+    importing scipy.signal.
+    """
+    if mode != "same":
+        raise ValueError("only mode='same' is supported")
+    full = [a + b - 1 for a, b in zip(in1.shape, in2.shape)]
+    fshape = [next_fast_len(n, True) for n in full]
+    ret = irfftn(rfftn(in1, fshape) * rfftn(in2, fshape), fshape)
+    start = [(n - a) // 2 for n, a in zip(full, in1.shape)]
+    return ret[tuple(slice(b, b + a) for b, a in zip(start, in1.shape))].copy()
+
 
 def gaussian_pair_integral(wgrid: PhaseGrid, kernel_fn) -> float:
     """int d2b d2n K(b - n) W(b) W(n) on a sampled Wigner grid.

@@ -12,7 +12,6 @@ small matrix products per measurement outcome.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConditioningError, SamplingError, TruncationError
 from .fidelity import as_t
@@ -21,10 +20,11 @@ from .fock import (
     DensityOp,
     PureState,
     _as_complex,
+    _m_slabs,
     displacement_matrix,
     quad_moments,
 )
-from .phasespace import PhaseGrid, char_on_polar, wigner_values
+from .phasespace import PhaseGrid, char_on_polar, fftconvolve, wigner_values
 from .quadrature import gauss_hermite, radial_rule
 
 
@@ -138,8 +138,6 @@ def average_channel(state, t, out_dim=None) -> DensityOp:
 
 
 def _reconstruct_damped(state, t, n_in, n_out):
-    from .fock import _m_seq
-
     c = 1.0 + t / 2.0
     # radial polynomial degree <= n_in + n_out, angular harmonics likewise
     n_rad = (n_in + n_out) // 2 + 4
@@ -148,16 +146,15 @@ def _reconstruct_damped(state, t, n_in, n_out):
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     damped = np.exp(-t * x / 2.0)[:, None] * char_on_polar(state, x, theta)
     ghat = np.fft.fft(damped, axis=1) / n_ang  # ghat[:, q] = (1/2pi) int G e^{-iq theta}
+    ds = np.arange(n_out)
+    # rho[n+d, n] = (-1)^d sum_j wx_j M_n^(d)(x_j) ghat[j, -d]
+    g = (wx[:, None] * ghat[:, (-ds) % n_ang]).T * ((-1.0) ** ds)[:, None]
     rho = np.zeros((n_out, n_out), dtype=complex)
-    for d in range(n_out):
-        g_minus_d = ghat[:, (-d) % n_ang]
-        seq = _m_seq(d, x)
-        sign = (-1.0) ** d
-        for n in range(n_out - d):
-            val = sign * np.sum(wx * next(seq) * g_minus_d)
-            rho[n + d, n] = val
-            if d:
-                rho[n, n + d] = np.conj(val)
+    for n, slab in enumerate(_m_slabs(ds, n_out - ds, x)):
+        k = slab.shape[0]
+        vals = np.einsum("dj,dj->d", g[:k], slab)
+        rho[n + ds[:k], n] = vals
+        rho[n, n + ds[1:k]] = np.conj(vals[1:])
     return rho
 
 

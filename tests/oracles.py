@@ -131,3 +131,63 @@ def gauss_hermite_2d(fn, n=80, scale=1.0):
     q2 = scale * z[None, :]
     vals = fn(q1, q2)
     return scale**2 * float(np.einsum("i,j,ij->", w, w, vals))
+
+
+def ref_m_seq(d, x):
+    """Yield M_n^(d)(x) = sqrt(n!/(n+d)!) x^(d/2) e^(-x/2) L_n^(d)(x), n = 0, 1, ...
+
+    The one-offset-at-a-time generator the package used before its radial
+    kernel was vectorized; kept as the reference the kernel must match.
+    """
+    from scipy.special import gammaln
+
+    x = np.asarray(x, dtype=float)
+    if d == 0:
+        m = np.exp(-x / 2)
+    else:
+        with np.errstate(divide="ignore"):
+            logx = np.where(x > 0, np.log(x), -np.inf)
+        m = np.exp(0.5 * d * logx - 0.5 * gammaln(d + 1) - x / 2)
+    m_prev = 0.0
+    n = 0
+    while True:
+        yield m
+        m, m_prev = (
+            ((2 * n + 1 + d - x) * m - np.sqrt(n * (n + d)) * m_prev)
+            / np.sqrt((n + 1) * (n + 1 + d)),
+            m,
+        )
+        n += 1
+
+
+def ref_char_on_polar(diags, x, theta):
+    """Characteristic function on a polar grid by the per-(d, n) loop over ref_m_seq."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    dim = max(d for d, _ in diags) + 1
+    q = np.zeros((dim, x.size), dtype=complex)
+    for d, w in diags:
+        seq = ref_m_seq(d, x)
+        row = np.zeros(x.size, dtype=complex)
+        for n in range(w.size):
+            row += w[n] * next(seq)
+        q[d] = row
+    ds = np.arange(dim)
+    e_plus = np.exp(1j * np.outer(theta, ds))
+    signs = (-1.0) ** ds
+    out = (np.conj(e_plus) * signs) @ q + e_plus @ np.conj(q)
+    out -= q[0][None, :]
+    return out.T
+
+
+def ref_m_element(n, d, x, dps=40):
+    """M_n^(d)(x) in `dps`-digit mpmath arithmetic, as a float."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        lag = mpmath.laguerre(n, d, x)
+        logpre = (mpmath.loggamma(n + 1) - mpmath.loggamma(n + d + 1)) / 2 - x / 2
+        if d:
+            if x == 0:
+                return 0.0
+            logpre += d * mpmath.log(x) / 2
+        return float(mpmath.exp(logpre) * lag)

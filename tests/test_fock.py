@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ref_displacement_element, ref_displacement_expm
+from oracles import ref_displacement_element, ref_displacement_expm, ref_m_element
 
 from subplanck import (
     ComplexAmplitude,
@@ -21,7 +21,7 @@ from subplanck import (
     make_thermal,
     quad_moments,
 )
-from subplanck.fock import displace_state, displacement_matrices
+from subplanck.fock import _m_slabs, displace_state, displacement_matrices
 from subplanck.quadrature import polar_rule
 
 
@@ -80,6 +80,12 @@ class TestDisplacementElement:
         for k, mu in enumerate(mus):
             assert np.max(np.abs(stack[k] - displacement_matrix(10, mu))) < 1e-13
 
+    def test_rectangular_blocks(self):
+        mu = 0.7 + 1.1j
+        square, tall = ref_displacement_expm(10, mu)
+        assert np.max(np.abs(displacement_matrix(10, mu, rows=16) - tall[:16])) < 1e-12
+        assert np.max(np.abs(displacement_matrix(10, mu, rows=6) - square[:6])) < 1e-12
+
     def test_unitarity_on_contained_state(self):
         psi = make_coherent(ComplexAmplitude(1.0, 1.0), 40)
         out = displace_state(psi, 0.8 - 0.3j)
@@ -95,6 +101,24 @@ class TestDisplacementElement:
                 )
                 total = float(np.sum(wx * vals))  # angular integrand is radial
                 assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestRadialKernel:
+    def test_matches_mpmath(self):
+        # all offsets in one pass: rows drop out as their counts run out
+        ds = np.array([0, 1, 7, 60, 150, 295])
+        xs = np.array([0.0, 0.3, 5.0, 80.0, 300.0, 900.0])
+        counts = 300 - ds  # d + n <= 299
+        got = [[] for _ in ds]
+        for slab in _m_slabs(ds, counts, xs):
+            for i in range(slab.shape[0]):
+                got[i].append(slab[i].copy())
+        worst = 0.0
+        for i, d in enumerate(ds):
+            assert len(got[i]) == counts[i]
+            want = np.array([[ref_m_element(n, d, x) for x in xs] for n in range(counts[i])])
+            worst = max(worst, float(np.max(np.abs(np.array(got[i]) - want))))
+        assert worst <= 1e-12
 
 
 class TestCoherent:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import subplanck.fidelity as fidelity_module
+import subplanck.mixedstate as mixedstate_module
 from subplanck import (
     ComplexAmplitude,
     DensityOp,
+    QuadratureError,
     char_fn,
     bold_phi,
     bold_w,
@@ -169,6 +172,35 @@ class TestEntanglementFidelity:
                 a = entanglement_fidelity(rho, t)
                 b = entanglement_fidelity_direct(rho, t)
                 assert a == pytest.approx(b, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "route, module, name, rho, support",
+        [
+            ("diagonal", mixedstate_module, "_bold_phi_diag_radial", make_thermal(2.0, 64), 64),
+            ("general", mixedstate_module, "_bold_phi_equal_batch",
+             make_coherent(ComplexAmplitude(0.3, 0.2), 24).density(), 18),
+            ("direct", fidelity_module, "char_on_polar", make_thermal(2.0, 64), 64),
+        ],
+    )
+    def test_sized_from_support_with_cross_check(self, monkeypatch, route, module, name, rho,
+                                                 support):
+        # D radial nodes from the trimmed support, then a raising D+1 cross-check
+        real = getattr(module, name)
+        calls = []
+
+        def corrupted(*args):
+            out = real(*args)
+            calls.append(out.shape[0])
+            return out if len(calls) == 1 else 1.01 * out
+
+        monkeypatch.setattr(module, name, corrupted)
+        fn = entanglement_fidelity_direct if route == "direct" else entanglement_fidelity
+        with pytest.raises(QuadratureError):
+            fn(rho, 1.0)
+        if route == "general":  # one (radial x angular) batch of displacements per rule
+            assert calls == [support * (2 * support - 1), (support + 1) * (2 * support + 1)]
+        else:
+            assert calls == [support, support + 1]
 
     def test_perfect_at_zero(self):
         assert entanglement_fidelity(make_thermal(1.0, 64), 0.0) == 1.0

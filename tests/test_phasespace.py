@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from oracles import ref_char, ref_wigner_parity
+from oracles import ref_char, ref_char_on_polar, ref_wigner_parity
+
+import subplanck
+import subplanck.phasespace as phasespace_module
 
 from subplanck import (
     ComplexAmplitude,
@@ -16,6 +23,7 @@ from subplanck import (
     make_coherent,
     make_compass,
     make_number,
+    make_random,
     make_thermal,
     overlap,
     s_ordered_char,
@@ -24,7 +32,14 @@ from subplanck import (
     wigner,
     wigner_grid,
 )
-from subplanck.phasespace import PhaseGrid, squasi_values
+from subplanck.phasespace import (
+    PhaseGrid,
+    char_on_polar,
+    fftconvolve,
+    squasi_values,
+    state_diagonals,
+)
+from subplanck.quadrature import polar_rule
 
 
 class TestCharFn:
@@ -51,6 +66,19 @@ class TestCharFn:
             got = char_fn(st, ComplexAmplitude.from_complex(mu))
             assert abs(got) <= 1 + 1e-10
             assert got == pytest.approx(complex(ref_char(st.coeffs, mu)), abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["coherent64", "compass3.5355", "random20", "random100"])
+    def test_polar_matches_per_offset_loop(self, name):
+        st = {
+            "coherent64": lambda: make_coherent(ComplexAmplitude(2.0, 1.0), 64),
+            "compass3.5355": lambda: make_compass(3.5355, 96),
+            "random20": lambda: make_random(20, seed=3),
+            "random100": lambda: make_random(100, seed=5),
+        }[name]()
+        support = max(d + w.size for d, w in state_diagonals(st))
+        x, theta, _, _ = polar_rule(1.5, support, 2 * support - 1)
+        want = ref_char_on_polar(state_diagonals(st), x, theta)
+        assert np.array_equal(char_on_polar(st, x, theta), want)
 
 
 class TestSOrderedChar:
@@ -142,6 +170,21 @@ class TestSQuasidist:
             via_kernel = float(squasi_values(st, -t, np.array(a.value)))
             assert via_quad == pytest.approx(via_kernel, abs=1e-8)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    def test_chunking_does_not_change_values(self, catalog, monkeypatch, s):
+        q = np.linspace(-3.0, 3.0, 31)
+        points = (q[:, None] + 1j * q[None, ::-1]) / np.sqrt(2.0)  # holds the origin
+        points = np.concatenate([points, np.zeros((1, 31))])  # and a row of origins
+        for name in ("compass", "random20"):
+            st = catalog[name]
+            # one chunk at the default size, many at 64 slab values
+            assert points.size * len(state_diagonals(st)) <= phasespace_module.CHUNK_ELEMENTS
+            whole = squasi_values(st, s, points)
+            monkeypatch.setattr(phasespace_module, "CHUNK_ELEMENTS", 64)
+            chunked = squasi_values(st, s, points)
+            monkeypatch.undo()
+            assert np.array_equal(whole, chunked)
+
 
 class TestGrids:
     def test_grid_eval_char_vacuum(self):
@@ -209,3 +252,26 @@ class TestOverlap:
         st = make_compass(2.0, 48)
         with pytest.raises(GridResolutionError):
             overlap(st, st, resolution=12)
+
+
+class TestFFTConvolve:
+    def test_matches_scipy_signal(self):
+        from scipy.signal import fftconvolve as scipy_fftconvolve
+
+        h = 0.05
+        d = (np.arange(511) - 255) * h
+        w = np.exp(-((d[128:384, None] - 0.3) ** 2) - (d[None, 128:384] + 0.2) ** 2 / 2)
+        kern = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / 0.7)
+        assert np.array_equal(fftconvolve(w, kern, mode="same"),
+                              scipy_fftconvolve(w, kern, mode="same"))
+
+    def test_import_skips_scipy_signal_and_stats(self):
+        src = os.path.dirname(os.path.dirname(subplanck.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, subplanck, subplanck.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
