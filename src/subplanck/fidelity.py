@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import GridResolutionError, QuadratureError
-from .fock import PureState, _m_slabs, quad_moments
+from .fock import PureState, _m_seq, quad_moments
 from .phasespace import (
     cached_default_wigner,
     char_on_polar,
@@ -302,7 +302,7 @@ def random_avg_fidelity(dim, t) -> float:
     ds = np.arange(dim)
     lam_sum = np.zeros_like(x)
     sq_sums = np.zeros((dim, x.size))
-    for slab in _m_slabs(ds, dim - ds, x):
+    for slab in _m_seq(ds, dim - ds, x):
         lam_sum += slab[0]
         sq_sums[: slab.shape[0]] += slab * slab
     pairs = np.where(ds > 0, 2.0, 1.0) @ sq_sums

@@ -15,11 +15,11 @@ themselves (magnitude <= 1), so they neither overflow nor underflow for
 any truncation or displacement used here; factorial ratios enter only
 through log-gammas.  One private kernel, `_radial_slabs`, runs that
 recurrence along n for all requested offsets d and all points at once,
-yielding one slab R_n[d, point] per step; every radial sum in the
-package (displacement matrices, characteristic functions, s-ordered
-quasidistributions, the averaged channel, ensemble and entanglement
-fidelities) contracts those slabs, so a call costs as many Python steps
-as the longest diagonal it needs.
+yielding one slab R_n[d, point] per step (`_m_seq` is its Cahill-Glauber
+case); every radial sum in the package (displacement matrices,
+characteristic functions, s-ordered quasidistributions, the averaged
+channel, ensemble and entanglement fidelities) contracts those slabs, so
+a call costs as many Python steps as the longest diagonal it needs.
 """
 
 import warnings
@@ -216,7 +216,7 @@ def _radial_slabs(ds, counts, start, sig, sig_y):
                   / sqrt((n+1) (n+1+d)),     R_0 = start, R_{-1} = 0.
 
     With sig = 1 and sig_y = x the iterates are the displacement elements
-    M_n^(d)(x) (see `_m_slabs`); phasespace drives the s-ordered kernel
+    M_n^(d)(x) (see `_m_seq`); phasespace drives the s-ordered kernel
     through the same recurrence.  `counts` (iterates wanted per row) must
     be nonincreasing: R_n holds only the leading rows with counts > n, so a
     call costs counts[0] Python steps.  The slabs are read-only.
@@ -240,24 +240,26 @@ def _radial_slabs(ds, counts, start, sig, sig_y):
         yield cur
 
 
-def _m_slabs(ds, counts, x):
+def _m_seq(ds, counts, x):
     """`_radial_slabs` for M_n^(d)(x) = sqrt(n!/(n+d)!) x^(d/2) e^(-x/2) L_n^(d)(x).
 
     These are the magnitudes of <n|D(mu)|n+d> at x = |mu|^2, bounded by 1
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Yields the slabs
+    M_n[d, point], n = 0 .. counts[0] - 1.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0, np.log(x), -np.inf)
-    return _radial_slabs(ds, counts, _log_start(ds, logx, x / 2), 1.0, x)
+    yield from _radial_slabs(ds, counts, _log_start(ds, logx, x / 2), 1.0, x)
 
 
 def _unit_powers(z, count):
-    """z^0 .. z^(count-1) along a new last axis, by repeated multiplication."""
-    out = np.empty(z.shape + (count,), dtype=complex)
-    out[..., 0] = 1.0
-    out[..., 1:] = z[..., None]
-    return np.cumprod(out, axis=-1, out=out)
+    """z^0 .. z^(count-1) stacked on a new first axis, by repeated multiplication."""
+    out = np.empty((count,) + np.shape(z), dtype=complex)
+    out[0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[k - 1], z, out=out[k])
+    return out
 
 
 def displacement_element(m, n, mu) -> complex:
@@ -267,7 +269,7 @@ def displacement_element(m, n, mu) -> complex:
     muc = _as_complex(mu)
     x = abs(muc) ** 2
     d = abs(m - n)
-    *_, last = _m_slabs([d], [min(m, n) + 1], np.array([x]))
+    *_, last = _m_seq([d], [min(m, n) + 1], np.array([x]))
     mag = float(last[0, 0])
     if not np.isfinite(mag):
         raise OverflowError("displacement element lost finiteness")
@@ -295,7 +297,7 @@ def displacement_matrices(dim, mus, rows=None) -> np.ndarray:
     ds = np.arange(max(rows, dim))
     counts = np.maximum(np.minimum(rows, dim - ds), np.minimum(rows - ds, dim))
     mags = np.zeros((mus.size, rows, dim))
-    for n, slab in enumerate(_m_slabs(ds, counts, x)):
+    for n, slab in enumerate(_m_seq(ds, counts, x)):
         if n < rows:  # <n|D|n+d>, d >= 0
             hi = min(slab.shape[0], dim - n)
             mags[:, n, n : n + hi] = slab[:hi].T
@@ -303,8 +305,8 @@ def displacement_matrices(dim, mus, rows=None) -> np.ndarray:
             lo = min(slab.shape[0], rows - n)
             mags[:, n + 1 : n + lo, n] = slab[1:lo].T
     offset = np.arange(rows)[:, None] - np.arange(dim)[None, :]
-    below = _unit_powers(unit, rows)[:, np.clip(offset, 0, None)]
-    above = _unit_powers(-np.conj(unit), dim)[:, np.clip(-offset, 0, None)]
+    below = _unit_powers(unit, rows).T[:, np.clip(offset, 0, None)]
+    above = _unit_powers(-np.conj(unit), dim).T[:, np.clip(-offset, 0, None)]
     return mags * np.where(offset >= 0, below, above)
 
 

@@ -20,7 +20,7 @@ from .fock import (
     DensityOp,
     PureState,
     _as_complex,
-    _m_slabs,
+    _m_seq,
     displacement_matrices,
     displacement_matrix,
     quad_moments,
@@ -83,7 +83,7 @@ def _bold_phi_diag_radial(probs, x):
     ds = np.arange(dim)
     pairs = np.where(ds > 0, 2.0, 1.0)  # (n+d, n) and (n, n+d) for d > 0
     out = np.zeros_like(x)
-    for n, slab in enumerate(_m_slabs(ds, dim - ds, x)):
+    for n, slab in enumerate(_m_seq(ds, dim - ds, x)):
         k = slab.shape[0]
         out += (pairs[:k] * probs[n : n + k] * probs[n]) @ (slab * slab)
     return out

@@ -28,8 +28,9 @@ from .fock import (
     PureState,
     _as_complex,
     _log_start,
-    _m_slabs,
+    _m_seq,
     _radial_slabs,
+    _unit_powers,
     quad_moments,
 )
 from .quadrature import gauss_hermite
@@ -180,27 +181,20 @@ def _radial_sums(diags, slabs, npts):
 
 def _phase_series(coef, ds, z):
     """sum_i coef[i] z^ds[i] (ds ascending) by Horner's rule over the gaps."""
-    powers = {}
-
-    def power(g):
-        if g not in powers:
-            p = np.ones_like(z)
-            for _ in range(g):
-                p = p * z
-            powers[g] = p
-        return powers[g]
-
+    gaps = np.diff(ds, prepend=0)
+    power = _unit_powers(z, gaps.max() + 1)
     acc = coef[-1]
     for i in range(len(ds) - 2, -1, -1):
-        acc = acc * power(ds[i + 1] - ds[i]) + coef[i]
-    return acc * power(ds[0]) if ds[0] else acc
+        acc = acc * power[gaps[i + 1]] + coef[i]
+    return acc * power[gaps[0]] if ds[0] else acc
 
 
 def _angular_accumulate(diags, points, slabs, combine):
     """Offset sums of a radial kernel on arbitrary complex points.
 
-    Points are processed in chunks of at most CHUNK_ELEMENTS // len(diags),
-    so no kernel slab exceeds CHUNK_ELEMENTS values.  For each chunk,
+    Points are processed in chunks small enough that neither a kernel slab
+    (offsets x points) nor a phase-power table (largest offset gap + 1
+    powers per point) exceeds CHUNK_ELEMENTS values.  For each chunk,
     combine(A, ds, unit) turns the per-offset radial sums A (rows in diags
     order, offsets ds) and the unit phasors unit = e^{i phi} into values.
     """
@@ -208,7 +202,8 @@ def _angular_accumulate(diags, points, slabs, combine):
     flat = pts.ravel()
     ds = np.array([d for d, _ in diags])
     out = np.empty(flat.shape, dtype=complex)
-    chunk = max(1, CHUNK_ELEMENTS // len(diags))
+    width = max(len(diags), int(np.diff(ds, prepend=0).max()) + 1)
+    chunk = max(1, CHUNK_ELEMENTS // width)
     for lo in range(0, flat.size, chunk):
         p = flat[lo : lo + chunk]
         mag = np.abs(p)
@@ -261,7 +256,7 @@ def char_values(state, points):
         total = _phase_series(sums, ds, -np.conj(unit)) + _phase_series(np.conj(sums), ds, unit)
         return total - sums[0] if ds[0] == 0 else total
 
-    return _angular_accumulate(state_diagonals(state), points, _m_slabs, combine)
+    return _angular_accumulate(state_diagonals(state), points, _m_seq, combine)
 
 
 def char_on_polar(state, x, theta):
@@ -276,7 +271,7 @@ def char_on_polar(state, x, theta):
     diags = state_diagonals(state)
     ds = np.array([d for d, _ in diags])
     q = np.zeros((ds[-1] + 1, x.size), dtype=complex)
-    q[ds] = _radial_sums(diags, lambda ds, counts: _m_slabs(ds, counts, x), x.size)
+    q[ds] = _radial_sums(diags, lambda ds, counts: _m_seq(ds, counts, x), x.size)
     ds = np.arange(q.shape[0])
     e_plus = np.exp(1j * np.outer(theta, ds))  # (M, D)
     signs = (-1.0) ** ds
@@ -447,15 +442,13 @@ def overlap(rho1, rho2, resolution=256, mismatch_tol=1e-3) -> OverlapResult:
 # grid kernels shared with the fidelity/protocol modules
 # ---------------------------------------------------------------------------
 
-def fftconvolve(in1, in2, mode="same"):
+def fftconvolve(in1, in2):
     """Linear convolution of real arrays, cropped to in1's shape and centre.
 
     Real FFTs at fast lengths of the full output shape; the same
     arithmetic as scipy.signal.fftconvolve(in1, in2, mode="same"), without
     importing scipy.signal.
     """
-    if mode != "same":
-        raise ValueError("only mode='same' is supported")
     full = [a + b - 1 for a, b in zip(in1.shape, in2.shape)]
     fshape = [next_fast_len(n, True) for n in full]
     ret = irfftn(rfftn(in1, fshape) * rfftn(in2, fshape), fshape)
@@ -476,5 +469,5 @@ def gaussian_pair_integral(wgrid: PhaseGrid, kernel_fn) -> float:
     d1 = (np.arange(2 * n1 - 1) - (n1 - 1)) * h1
     d2 = (np.arange(2 * n2 - 1) - (n2 - 1)) * h2
     kern = kernel_fn(d1[:, None], d2[None, :])
-    smoothed = fftconvolve(w, kern, mode="same")
+    smoothed = fftconvolve(w, kern)
     return float(np.sum(w * smoothed) * wgrid.cell_measure**2)

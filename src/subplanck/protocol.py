@@ -20,7 +20,7 @@ from .fock import (
     DensityOp,
     PureState,
     _as_complex,
-    _m_slabs,
+    _m_seq,
     displacement_matrix,
     quad_moments,
 )
@@ -150,7 +150,7 @@ def _reconstruct_damped(state, t, n_in, n_out):
     # rho[n+d, n] = (-1)^d sum_j wx_j M_n^(d)(x_j) ghat[j, -d]
     g = (wx[:, None] * ghat[:, (-ds) % n_ang]).T * ((-1.0) ** ds)[:, None]
     rho = np.zeros((n_out, n_out), dtype=complex)
-    for n, slab in enumerate(_m_slabs(ds, n_out - ds, x)):
+    for n, slab in enumerate(_m_seq(ds, n_out - ds, x)):
         k = slab.shape[0]
         vals = np.einsum("dj,dj->d", g[:k], slab)
         rho[n + ds[:k], n] = vals
@@ -205,7 +205,7 @@ def _density_grid(state, t, resolution=512, n_sigma=6.0):
     d1 = (np.arange(2 * n1 - 1) - (n1 - 1)) * h1
     d2 = (np.arange(2 * n2 - 1) - (n2 - 1)) * h2
     kern = _wa_kernel(t, d1[:, None], d2[None, :])
-    p = fftconvolve(w, kern, mode="same") * grid.cell_measure
+    p = fftconvolve(w, kern) * grid.cell_measure
     return grid.with_values(p)
 
 

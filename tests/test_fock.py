@@ -21,7 +21,7 @@ from subplanck import (
     make_thermal,
     quad_moments,
 )
-from subplanck.fock import _m_slabs, displace_state, displacement_matrices
+from subplanck.fock import _m_seq, displace_state, displacement_matrices
 from subplanck.quadrature import polar_rule
 
 
@@ -110,7 +110,7 @@ class TestRadialKernel:
         xs = np.array([0.0, 0.3, 5.0, 80.0, 300.0, 900.0])
         counts = 300 - ds  # d + n <= 299
         got = [[] for _ in ds]
-        for slab in _m_slabs(ds, counts, xs):
+        for slab in _m_seq(ds, counts, xs):
             for i in range(slab.shape[0]):
                 got[i].append(slab[i].copy())
         worst = 0.0

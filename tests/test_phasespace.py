@@ -185,6 +185,27 @@ class TestSQuasidist:
             monkeypatch.undo()
             assert np.array_equal(whole, chunked)
 
+    def test_phase_power_table_within_chunk_bound(self, monkeypatch):
+        # (|0> + |40>)/sqrt 2 keeps only offsets {0, 40}: two slab rows per
+        # point, but 41 phase powers per point
+        coeffs = np.zeros(41)
+        coeffs[[0, 40]] = 1.0
+        st = subplanck.PureState(coeffs)
+        q = np.linspace(-3.0, 3.0, 31)
+        points = (q[:, None] + 1j * q[None, :]) / np.sqrt(2.0)
+        whole = squasi_values(st, -0.5, points)
+        tables, original = [], phasespace_module._unit_powers
+
+        def recording(z, count):
+            tables.append(z.size * count)
+            return original(z, count)
+
+        monkeypatch.setattr(phasespace_module, "_unit_powers", recording)
+        monkeypatch.setattr(phasespace_module, "CHUNK_ELEMENTS", 41 * 16)
+        chunked = squasi_values(st, -0.5, points)
+        assert tables and max(tables) <= 41 * 16
+        assert np.array_equal(whole, chunked)
+
 
 class TestGrids:
     def test_grid_eval_char_vacuum(self):
@@ -262,7 +283,7 @@ class TestFFTConvolve:
         d = (np.arange(511) - 255) * h
         w = np.exp(-((d[128:384, None] - 0.3) ** 2) - (d[None, 128:384] + 0.2) ** 2 / 2)
         kern = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / 0.7)
-        assert np.array_equal(fftconvolve(w, kern, mode="same"),
+        assert np.array_equal(fftconvolve(w, kern),
                               scipy_fftconvolve(w, kern, mode="same"))
 
     def test_import_skips_scipy_signal_and_stats(self):
