@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import GridResolutionError, QuadratureError
+from .errors import GridResolutionError
 from .fock import (
     ComplexAmplitude,
     DensityOp,
@@ -33,7 +33,6 @@ from .fock import (
     _unit_powers,
     quad_moments,
 )
-from .quadrature import gauss_hermite
 
 VACUUM_WIDTH = 1.0 / np.sqrt(2.0)
 # Largest kernel slab (offsets x points) held at once by pointwise kernels.
@@ -334,33 +333,12 @@ def husimi(state, alpha) -> float:
     return float(husimi_values(state, np.array(_as_complex(alpha))))
 
 
-def s_quasidist(state, order, alpha, start_nodes=16, max_nodes=256) -> float:
-    """W^(s)(alpha) as a Gaussian smoothing of the Wigner function.
-
-    For s = -t < 0 uses adaptive tensor Gauss-Hermite on
-    (2/t) int (d2nu/pi) e^{-2|alpha-nu|^2/t} W(nu), doubling until two
-    successive node counts agree to 1e-9.
-    """
+def s_quasidist(state, order, alpha) -> float:
+    """s-ordered quasidistribution W^(s)(alpha), s <= 0: the scalar form of squasi_values."""
     s = order.s if isinstance(order, OrderParam) else float(order)
     if s > 0:
         raise ValueError("s > 0 rejected")
-    alpha_c = _as_complex(alpha)
-    if s == 0:
-        return wigner(state, alpha_c)
-    t = -s
-    scale = np.sqrt(t) / np.sqrt(2.0)  # shift per unit GH node, complex plane
-    prev = None
-    n = start_nodes
-    while n <= max_nodes:
-        z, w = gauss_hermite(n)
-        shifts = (z[:, None] + 1j * z[None, :]) * scale
-        vals = wigner_values(state, alpha_c + shifts)
-        est = float(np.einsum("i,j,ij->", w, w, vals)) / np.pi
-        if prev is not None and abs(est - prev) < 1e-9 * max(1.0, abs(est)):
-            return est
-        prev = est
-        n *= 2
-    raise QuadratureError("s_quasidist smoothing did not converge")
+    return float(squasi_values(state, s, np.array(_as_complex(alpha))))
 
 
 def grid_eval(fn, grid: PhaseGrid) -> PhaseGrid:
@@ -439,7 +417,7 @@ def overlap(rho1, rho2, resolution=256, mismatch_tol=1e-3) -> OverlapResult:
 
 
 # ---------------------------------------------------------------------------
-# grid kernels shared with the fidelity/protocol modules
+# grid kernels used by the fidelity module
 # ---------------------------------------------------------------------------
 
 def fftconvolve(in1, in2):

@@ -3,10 +3,13 @@
 The average channel is applied in characteristic-function space, where
 it is an exact multiplication by e^{-t |mu|^2 / 2}, and the output
 density matrix is reconstructed by radial-angular quadrature that is
-exact for truncated states; the displaced-state quadrature route is
-kept alongside as an oracle.  Conditional outputs are Wigner grids
-(never matrices), evaluated from the double-Gaussian integrand as two
-small matrix products per measurement outcome.
+exact for truncated states.  Alice's outcome density is the input
+Wigner function smoothed by her reduced resource mode, which is exactly
+the s-ordered quasidistribution W^(s_t) with s_t = -(1 + t^2/4)/t, so
+both pointwise values and the sampler's grid come from the closed
+s-ordered kernel.  Conditional outputs are Wigner grids (never
+matrices), evaluated from the double-Gaussian integrand as two small
+matrix products per measurement outcome.
 """
 
 from dataclasses import dataclass
@@ -21,11 +24,14 @@ from .fock import (
     PureState,
     _as_complex,
     _m_seq,
-    displacement_matrix,
     quad_moments,
 )
-from .phasespace import PhaseGrid, char_on_polar, fftconvolve, wigner_values
-from .quadrature import gauss_hermite, radial_rule
+# fftconvolve is not called here; kept because bench/tracer.py wraps protocol.fftconvolve.
+from .phasespace import PhaseGrid, char_on_polar, fftconvolve, squasi_values, wigner_values
+from .quadrature import radial_rule
+
+# Half-width of the sampler grid in standard deviations of p(xi).
+DENSITY_GRID_SIGMAS = 6.0
 
 
 @dataclass(frozen=True)
@@ -76,15 +82,6 @@ def p_tilde(t, mu) -> float:
     """Fourier transform of P: (1/pi) e^{-t |mu|^2 / 2}; pi Ptilde(0) = 1."""
     t = as_t(t)
     return float(np.exp(-t * abs(_as_complex(mu)) ** 2 / 2.0) / np.pi)
-
-
-def marginal_wigner_a(t, alpha) -> float:
-    """Wigner function of Alice's reduced resource mode."""
-    t = as_t(t)
-    if t <= 0:
-        raise ValueError("needs t > 0")
-    g = 1.0 + t * t / 4.0
-    return float(2.0 * t / (np.pi * g) * np.exp(-2.0 * t * abs(_as_complex(alpha)) ** 2 / g))
 
 
 # ---------------------------------------------------------------------------
@@ -158,77 +155,39 @@ def _reconstruct_damped(state, t, n_in, n_out):
     return rho
 
 
-def average_channel_displaced(state, t, nodes=32, out_dim=None) -> np.ndarray:
-    """Oracle route: Gauss-Hermite average of D(nu) rho D+(nu) over P(nu)."""
-    t = as_t(t)
-    rho_in = state.density() if isinstance(state, PureState) else state
-    n_in = rho_in.dim
-    if out_dim is None:
-        out_dim = n_in + _channel_pad(n_in, t)
-    z, w = gauss_hermite(nodes)
-    scale = np.sqrt(t) / np.sqrt(2.0)
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    for i, zi in enumerate(z):
-        for j, zj in enumerate(z):
-            nu = scale * (zi + 1j * zj)
-            dmat = displacement_matrix(n_in, nu, rows=out_dim)
-            out += (w[i] * w[j]) * (dmat @ rho_in.matrix @ dmat.conj().T)
-    return out / np.pi
-
-
-def channel_fidelity(state: PureState, rho_out: DensityOp) -> float:
-    """<psi| rho |psi> with automatic padding to the larger truncation."""
-    dim = max(state.dim, rho_out.dim)
-    c = state.padded(dim).coeffs
-    m = rho_out.padded(dim).matrix
-    return float(np.real(np.vdot(c, m @ c)))
-
-
 # ---------------------------------------------------------------------------
 # Alice's outcome distribution
 # ---------------------------------------------------------------------------
 
-def _wa_kernel(t, d1, d2):
-    g = 1.0 + t * t / 4.0
-    return 2.0 * t / (np.pi * g) * np.exp(-t * (d1**2 + d2**2) / g)
+def _outcome_order(t) -> float:
+    """Order s_t = -(1 + t^2/4)/t with p(xi) = W^(s_t)(xi) (Cahill-Glauber).
+
+    Alice's outcome density is the input Wigner function smoothed by her
+    reduced resource mode, a Gaussian of per-quadrature variance
+    (1 + t^2/4)/(2t), i.e. -s_t/2.
+    """
+    return -(1.0 + t * t / 4.0) / t
 
 
-def _density_grid(state, t, resolution=512, n_sigma=6.0):
-    """p(xi) sampled on a grid sized for the input state plus channel noise."""
+def _density_grid(state, t, resolution=512):
+    """p(xi) = W^(s_t) on a grid sized for the input state plus channel noise."""
+    s = _outcome_order(t)
     mx, mp, vx, vp = quad_moments(state)
-    var_a = (1.0 + t * t / 4.0) / (2.0 * t)  # per-quadrature variance of W_A
-    hw = n_sigma * np.sqrt(max(vx, vp) + var_a)
+    hw = DENSITY_GRID_SIGMAS * np.sqrt(max(vx, vp) - s / 2.0)
     grid = PhaseGrid(ComplexAmplitude(mx, mp), (hw, hw), (resolution, resolution))
-    w = wigner_values(state, grid.points())
-    n1, n2 = w.shape
-    h1, h2 = grid.spacing
-    d1 = (np.arange(2 * n1 - 1) - (n1 - 1)) * h1
-    d2 = (np.arange(2 * n2 - 1) - (n2 - 1)) * h2
-    kern = _wa_kernel(t, d1[:, None], d2[None, :])
-    p = fftconvolve(w, kern) * grid.cell_measure
-    return grid.with_values(p)
+    return grid.with_values(squasi_values(state, s, grid.points()))
 
 
-def alice_outcome_density(state, t, xi, resolution=384) -> float:
-    """Probability density p(xi) of Alice's joint measurement outcome."""
-    from .phasespace import cached_default_wigner
-
+def alice_outcome_density(state, t, xi) -> float:
+    """Probability density p(xi) = W^(s_t)(xi) of Alice's joint measurement outcome."""
     t = as_t(t)
     if t <= 0:
         raise ValueError("alice_outcome_density needs t > 0")
-    xi_c = _as_complex(xi)
-    grid = cached_default_wigner(state, resolution=resolution)
-    w = grid.values
-    a1, a2 = grid.mesh()
-    # W_A evaluated at xi* - nu*: components (xi1 - nu1, -(xi2 - nu2))
-    xi1 = np.sqrt(2.0) * xi_c.real
-    xi2 = np.sqrt(2.0) * xi_c.imag
-    kern = _wa_kernel(t, xi1 - a1, -(xi2 - a2))
-    return float(np.sum(w * kern) * grid.cell_measure)
+    return float(squasi_values(state, _outcome_order(t), np.array(_as_complex(xi))))
 
 
 class OutcomeSampler:
-    """Inverse-CDF sampler over a p(xi) grid (default 512 x 512)."""
+    """Inverse-CDF sampler over a grid of p(xi) = W^(s_t)(xi) (default 512 x 512)."""
 
     def __init__(self, state, t, resolution=512, min_mass=0.999):
         t = as_t(t)

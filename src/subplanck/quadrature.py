@@ -1,11 +1,9 @@
 """Quadrature rules tuned to Gaussian-damped phase-space integrands.
 
-All phase-space integrals here reduce to either
-
-* radial-angular form: integral of d2mu/pi f(mu) = (1/2pi) int dtheta
-  int_0^inf dx f(sqrt(x) e^{i theta}) with x = |mu|^2, handled by
-  Gauss-Laguerre in x times a uniform angular rule, or
-* plain-plane form handled by tensor Gauss-Hermite.
+Phase-space integrals here take the radial-angular form: integral of
+d2mu/pi f(mu) = (1/2pi) int dtheta int_0^inf dx f(sqrt(x) e^{i theta})
+with x = |mu|^2, handled by Gauss-Laguerre in x times a uniform angular
+rule.
 
 The Gauss-Laguerre weights are stored with the e^{+x} factor folded in
 (``w_scaled = w * exp(x)``) so rules can be applied to the *full*
@@ -19,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_hermite
 
 
 @lru_cache(maxsize=64)
@@ -79,12 +76,3 @@ def polar_rule(c, n_radial, n_angular):
     theta = 2 * np.pi * np.arange(n_angular) / n_angular
     wtheta = np.full(n_angular, 1.0 / n_angular)
     return x, theta, wx, wtheta
-
-
-@lru_cache(maxsize=32)
-def gauss_hermite(n):
-    """Standard Gauss-Hermite nodes/weights (weight e^{-z^2})."""
-    z, w = roots_hermite(n)
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w

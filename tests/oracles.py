@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_hermite
 
 
 def ref_displacement_element(m, n, mu):
@@ -131,6 +131,42 @@ def gauss_hermite_2d(fn, n=80, scale=1.0):
     q2 = scale * z[None, :]
     vals = fn(q1, q2)
     return scale**2 * float(np.einsum("i,j,ij->", w, w, vals))
+
+
+def marginal_wigner_a(t, alpha):
+    """Wigner function of Alice's reduced resource mode at a ComplexAmplitude."""
+    if t <= 0:
+        raise ValueError("needs t > 0")
+    g = 1.0 + t * t / 4.0
+    return float(2.0 * t / (np.pi * g) * np.exp(-2.0 * t * alpha.abs2 / g))
+
+
+def average_channel_displaced(state, t, nodes, out_dim):
+    """Averaged channel as the Gauss-Hermite average of D(nu) rho D+(nu) over P(nu).
+
+    A route independent of the characteristic-function damping the
+    package uses; the displacement matrices are the package's
+    (checked against `ref_displacement_expm` in test_fock).
+    """
+    from subplanck.fock import displacement_matrix
+
+    rho_in = state.density().matrix
+    z, w = roots_hermite(nodes)
+    scale = np.sqrt(t) / np.sqrt(2.0)
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    for i, zi in enumerate(z):
+        for j, zj in enumerate(z):
+            dmat = displacement_matrix(len(rho_in), scale * (zi + 1j * zj), rows=out_dim)
+            out += (w[i] * w[j]) * (dmat @ rho_in @ dmat.conj().T)
+    return out / np.pi
+
+
+def channel_fidelity(state, rho_out):
+    """<psi| rho |psi> with automatic padding to the larger truncation."""
+    dim = max(state.dim, rho_out.dim)
+    c = state.padded(dim).coeffs
+    m = rho_out.padded(dim).matrix
+    return float(np.real(np.vdot(c, m @ c)))
 
 
 def ref_m_seq(d, x):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import ref_char, ref_char_on_polar, ref_wigner_parity
+from oracles import gauss_hermite_2d, ref_char, ref_char_on_polar, ref_wigner_parity
 
 import subplanck
 import subplanck.phasespace as phasespace_module
@@ -38,6 +38,7 @@ from subplanck.phasespace import (
     fftconvolve,
     squasi_values,
     state_diagonals,
+    wigner_values,
 )
 from subplanck.quadrature import polar_rule
 
@@ -166,7 +167,9 @@ class TestSQuasidist:
         st = catalog["compass"]
         a = ComplexAmplitude(0.2, 0.5)
         for t in (0.4, 1.0):
-            via_quad = s_quasidist(st, OrderParam(-t), a)
+            # W^(-t)(a) = (1/(pi t)) int dq1 dq2 e^{-|q|^2/t} W(a + (q1 + i q2)/sqrt 2)
+            smooth = lambda q1, q2: wigner_values(st, a.value + (q1 + 1j * q2) / np.sqrt(2.0))
+            via_quad = gauss_hermite_2d(smooth, scale=np.sqrt(t)) / (np.pi * t)
             via_kernel = float(squasi_values(st, -t, np.array(a.value)))
             assert via_quad == pytest.approx(via_kernel, abs=1e-8)
 

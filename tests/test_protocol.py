@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from oracles import average_channel_displaced, channel_fidelity, marginal_wigner_a
+
 from subplanck import (
     ComplexAmplitude,
     ConditioningError,
@@ -21,12 +23,7 @@ from subplanck import (
     sample_outcome,
 )
 from subplanck.phasespace import wigner_values
-from subplanck.protocol import (
-    OutcomeSampler,
-    average_channel_displaced,
-    channel_fidelity,
-    marginal_wigner_a,
-)
+from subplanck.protocol import OutcomeSampler
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +181,26 @@ class TestOutcomeDensity:
             approx = 2 * t / np.pi * np.exp(-t * offset**2)  # components: e^{-t dq^2}
             got = alice_outcome_density(coh, t, xi)
             assert got == pytest.approx(approx, rel=0.05)
+
+    @staticmethod
+    def coherent_density(t, xi):
+        # W^(s_t) of |1.0, 0.5>: 1 - s_t = (1 + t/2)^2 / t
+        g = (1.0 + t / 2.0) ** 2
+        d2 = np.abs(xi - ComplexAmplitude(1.0, 0.5).value) ** 2
+        return 2 * t / (np.pi * g) * np.exp(-2 * t * d2 / g)
+
+    def test_coherent_closed_form(self, coh):
+        for t in (0.02, 0.3, 1.0, 2.0, 5.0):
+            for q in ((1.0, 0.5), (0.3, -0.5), (2.0, 1.0), (-1.5, 2.5)):
+                xi = ComplexAmplitude(*q)
+                want = self.coherent_density(t, xi.value)
+                assert alice_outcome_density(coh, t, xi) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.02, 1.0])
+    def test_sampler_grid_closed_form(self, coh, t):
+        grid = OutcomeSampler(coh, t).grid
+        want = self.coherent_density(t, grid.points())
+        assert np.max(np.abs(grid.values - want)) <= 1e-12
 
     def test_marginal_wigner_shape(self):
         t = 2.0
