@@ -8,8 +8,15 @@ Wigner function smoothed by her reduced resource mode, which is exactly
 the s-ordered quasidistribution W^(s_t) with s_t = -(1 + t^2/4)/t, so
 both pointwise values and the sampler's grid come from the closed
 s-ordered kernel.  Conditional outputs are Wigner grids (never
-matrices), evaluated from the double-Gaussian integrand as two small
-matrix products per measurement outcome.
+matrices), evaluated from the double-Gaussian integrand as products of
+per-component Gaussian factors with the cached input Wigner grid; factor
+entries below 1e-100 are stored as zeros, so no product runs on
+subnormal floats.  The Monte Carlo average factors that grid once (its
+rank is at most 2D - 1 for Fock support D) and contracts whole chunks
+of outcomes in three matrix products.  Per-sample fidelities come from
+the closed form f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the
+unity-gain output T(xi)|psi> (Hofmann et al., Phys. Rev. A 62, 062304
+(2000)), not from grids.
 """
 
 from dataclasses import dataclass
@@ -26,12 +33,20 @@ from .fock import (
     _m_seq,
     quad_moments,
 )
-# fftconvolve is not called here; kept because bench/tracer.py wraps protocol.fftconvolve.
-from .phasespace import PhaseGrid, char_on_polar, fftconvolve, squasi_values, wigner_values
+from .phasespace import (
+    CHUNK_ELEMENTS,
+    PhaseGrid,
+    char_on_polar,
+    fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
+    squasi_values,
+    wigner_values,
+)
 from .quadrature import radial_rule
 
 # Half-width of the sampler grid in standard deviations of p(xi).
 DENSITY_GRID_SIGMAS = 6.0
+# Gaussian kernel entries below e^_LOG_FLOOR = 1e-100 are stored as zeros.
+_LOG_FLOOR = np.log(1e-100)
 
 
 @dataclass(frozen=True)
@@ -200,10 +215,9 @@ class OutcomeSampler:
         if mass < min_mass:
             raise SamplingError(f"density grid captures mass {mass:.6f} < {min_mass}")
         self.mass = mass
-        cell_prob = (p * self.grid.cell_measure).ravel()
-        self._cdf = np.cumsum(cell_prob)
+        p *= self.grid.cell_measure
+        self._cdf = np.cumsum(p.ravel())
         self._cdf /= self._cdf[-1]
-        self._p_flat = p.ravel()
 
     def sample(self, rng, size=1):
         """Draw xi as (xi1, xi2, density) arrays; uniform jitter within cells."""
@@ -213,15 +227,7 @@ class OutcomeSampler:
         h1, h2 = self.grid.spacing
         xi1 = self.grid.axis1[i] + (rng.random(size) - 0.5) * h1
         xi2 = self.grid.axis2[j] + (rng.random(size) - 0.5) * h2
-        return xi1, xi2, self._p_flat[idx]
-
-    def density_at(self, xi1, xi2):
-        i = np.clip(np.round((xi1 - self.grid.axis1[0]) / self.grid.spacing[0]), 0, None).astype(int)
-        j = np.clip(np.round((xi2 - self.grid.axis2[0]) / self.grid.spacing[1]), 0, None).astype(int)
-        n1, n2 = self.grid.resolution
-        i = np.minimum(i, n1 - 1)
-        j = np.minimum(j, n2 - 1)
-        return self.grid.values[i, j]
+        return xi1, xi2, np.maximum(self.grid.values.ravel()[idx], 0.0)
 
 
 def sample_outcome(state, t, rng, sampler=None) -> OutcomeSample:
@@ -236,12 +242,26 @@ def sample_outcome(state, t, rng, sampler=None) -> OutcomeSample:
 # conditional outputs and Monte Carlo averaging
 # ---------------------------------------------------------------------------
 
+def _check_conditioning(p):
+    """Refuse to condition on outcome densities at or below 1e-12."""
+    low = float(np.min(p))
+    if low <= 1e-12:
+        raise ConditioningError(f"outcome density {low:.3e} too small to condition on")
+
+
 class ConditionalKernel:
     """Evaluates output Wigner grids W(beta | xi) for a fixed input and t.
 
     The double-Gaussian integrand separates per quadrature component, so
-    each outcome costs two dense matrix products against the cached
-    input Wigner samples.
+    an outcome's grid is a1 @ w_in @ a2.T / p(xi), where w_in holds the
+    cached input Wigner samples and a1, a2 are Gaussian factors
+    (`gaussian_factors`).  Factor entries below 1e-100 are stored as
+    exact zeros: they move no grid value by more than ~1e-100, and left
+    in place they underflow to subnormal floats, on which matrix
+    products run many times slower.  For batches of outcomes
+    (`mc_average`), `input_factors` factors w_in once; its rank is at
+    most 2D - 1 for Fock support D, because W is e^{-2|alpha|^2} times a
+    polynomial of total degree <= 2D - 2 in the quadratures.
     """
 
     def __init__(self, state, t, out_grid=None, in_resolution=None):
@@ -258,7 +278,14 @@ class ConditionalKernel:
         self.in_grid = PhaseGrid(
             ComplexAmplitude(mx, mp), (hw_in, hw_in), (in_resolution, in_resolution)
         )
-        self.w_in = wigner_values(state, self.in_grid.points())
+        # Wigner samples a block of rows at a time, so the complex points
+        # and kernel output of a large input grid are never held at once.
+        a1, a2 = self.in_grid.axis1, self.in_grid.axis2
+        rows = max(1, CHUNK_ELEMENTS // (4 * a2.size))
+        self.w_in = np.empty((a1.size, a2.size))
+        for lo in range(0, a1.size, rows):
+            pts = (a1[lo : lo + rows, None] + 1j * a2) / np.sqrt(2.0)
+            self.w_in[lo : lo + rows] = wigner_values(state, pts)
         if out_grid is None:
             var_xi = max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t)
             hw_out = hw_in + 4.0 * np.sqrt(var_xi)
@@ -266,26 +293,44 @@ class ConditionalKernel:
                 ComplexAmplitude(mx, mp), (hw_out, hw_out), (128, 128)
             )
         self.out_grid = out_grid
+        # Per component, output node b and input node n enter the exponent
+        # as -(b - n)^2/t - (t/4)((b - xi) + (n - xi))^2; the first part is fixed.
+        self._axes = ((out_grid.axis1, self.in_grid.axis1), (out_grid.axis2, self.in_grid.axis2))
+        self._fixed = [-np.subtract.outer(b, n) ** 2 / t for b, n in self._axes]
+
+    def gaussian_factors(self, xi1, xi2):
+        """Floored factors (a1[k], a2[k]) for outcomes (xi1[k], xi2[k]).
+
+        Each has shape (outcomes, output nodes, input nodes); entries whose
+        exponent lies below log(1e-100) are exactly 0, all others normal.
+        """
+        factors = []
+        for (b, n), fixed, xs in zip(self._axes, self._fixed, (xi1, xi2)):
+            xs = np.reshape(xs, (-1, 1))
+            expo = (b - xs)[:, :, None] + (n - xs)[:, None, :]
+            expo *= expo
+            expo *= self.t / 4.0
+            np.subtract(fixed, expo, out=expo)
+            expo[expo < _LOG_FLOOR] = -np.inf
+            factors.append(np.exp(expo, out=expo))
+        return factors
 
     def evaluate(self, xi1, xi2, p_xi) -> np.ndarray:
-        t = self.t
-        if p_xi <= 1e-12:
-            raise ConditioningError(f"outcome density {p_xi:.3e} too small to condition on")
-        b1 = self.out_grid.axis1
-        b2 = self.out_grid.axis2
-        n1 = self.in_grid.axis1
-        n2 = self.in_grid.axis2
-        a1 = np.exp(
-            -((b1[:, None] - n1[None, :]) ** 2) / t
-            - t / 4.0 * ((b1[:, None] - xi1) + (n1[None, :] - xi1)) ** 2
-        )
-        a2 = np.exp(
-            -((b2[:, None] - n2[None, :]) ** 2) / t
-            - t / 4.0 * ((b2[:, None] - xi2) + (n2[None, :] - xi2)) ** 2
-        )
+        """Output grid for one outcome (dense product, no factorization of w_in)."""
+        _check_conditioning(p_xi)
+        a1, a2 = self.gaussian_factors(xi1, xi2)
         h1, h2 = self.in_grid.spacing
-        vals = a1 @ self.w_in @ a2.T
-        return vals * (2.0 / (np.pi**2 * p_xi) * h1 * h2)
+        return (a1[0] @ self.w_in @ a2[0].T) * (2.0 / (np.pi**2 * p_xi) * h1 * h2)
+
+    def input_factors(self):
+        """(left, right) with w_in = left @ right.T, from one SVD.
+
+        Singular values at or below numpy's `matrix_rank` tolerance
+        (largest value * grid size * machine epsilon) are dropped.
+        """
+        u, sv, vt = np.linalg.svd(self.w_in)
+        rank = max(1, int(np.sum(sv > sv[0] * max(self.w_in.shape) * np.finfo(float).eps)))
+        return u[:, :rank] * sv[:rank], vt[:rank].T
 
 
 def conditional_output(state, t, xi, out_grid=None, in_resolution=None) -> PhaseGrid:
@@ -309,9 +354,39 @@ class MCResult:
     seed_info: str = ""
 
 
+def conditional_fidelity(state, t, xi) -> np.ndarray:
+    """Fidelity of the output conditioned on outcome xi, for a pure input.
+
+    The unity-gain output for outcome xi is T(xi)|psi>/sqrt(p(xi)) with
+    T(xi) = sqrt((1 - q^2)/pi) D(xi) q^n D+(xi), q = tanh r (Hofmann, Ide,
+    Kobayashi & Furusawa, Phys. Rev. A 62, 062304 (2000)), so
+    f(xi) = |<psi|T(xi)|psi>|^2 / p(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi).
+    At t = 2 this is |<xi|psi>|^2.  `xi` holds complex amplitudes.
+    """
+    t = as_t(t)
+    if t <= 0:
+        raise ValueError("conditional_fidelity needs t > 0")
+    p = squasi_values(state, _outcome_order(t), xi)
+    _check_conditioning(p)
+    return 2.0 * np.pi / t * squasi_values(state, -2.0 / t, xi) ** 2 / p
+
+
 def mc_average(state, t, samples, rng, out_grid=None, sampler=None,
                in_resolution=None) -> MCResult:
-    """Monte Carlo average over measurement outcomes of conditional outputs."""
+    """Monte Carlo average over measurement outcomes of conditional outputs.
+
+    Each outcome's grid is weighted by 1/q(xi), q the sampler's cell
+    density, so the mean is an unbiased importance-sampling estimate of
+    the averaged channel's output.  The input Wigner grid is factored once
+    (`ConditionalKernel.input_factors`, rank <= 2D - 1); each chunk of B
+    outcomes, with B factor matrices per component within CHUNK_ELEMENTS
+    values, then costs three matrix products on the floored Gaussian
+    factors: a1 stack @ left, a2 stack @ right, and the sum over the
+    chunk as one product over the stacked (outcome, rank) index.  Chunk
+    sums are added with compensated summation.  Per-sample fidelities of
+    pure inputs are the closed form `conditional_fidelity` at the drawn
+    outcomes (NaN for mixed inputs).
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     t = as_t(t)
@@ -319,23 +394,32 @@ def mc_average(state, t, samples, rng, out_grid=None, sampler=None,
         sampler = OutcomeSampler(state, t)
     kern = ConditionalKernel(state, t, out_grid=out_grid, in_resolution=in_resolution)
     xi1s, xi2s, dens = sampler.sample(rng, samples)
-    acc = np.zeros(tuple(kern.out_grid.resolution))
-    comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
-    fids = np.empty(samples)
+    _check_conditioning(dens)
     if isinstance(state, PureState):
-        w_target = wigner_values(state, kern.out_grid.points())
+        fids = conditional_fidelity(state, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     else:
-        w_target = None
-    dmeas = kern.out_grid.cell_measure
-    for k in range(samples):
-        vals = kern.evaluate(xi1s[k], xi2s[k], dens[k])
+        fids = np.full(samples, np.nan)
+    left, right = kern.input_factors()
+    rank = left.shape[1]
+    n1, n2 = kern.out_grid.resolution
+    chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * kern.in_grid.resolution[0]))
+    h1, h2 = kern.in_grid.spacing
+    weights = 2.0 / (np.pi**2 * dens) * h1 * h2
+    acc = np.zeros((n1, n2))
+    comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
+    for lo in range(0, samples, chunk):
+        part = slice(lo, lo + chunk)
+        a1, a2 = kern.gaussian_factors(xi1s[part], xi2s[part])
+        b = a1.shape[0]
+        lhs = a1.reshape(b * n1, -1) @ left
+        rhs = (a2.reshape(b * n2, -1) @ right).reshape(b, n2, rank)
+        rhs *= weights[part, None, None]
+        # sum_k lhs_k @ rhs_k.T as one product over the index (k, rank)
+        lhs = lhs.reshape(b, n1, rank).transpose(1, 0, 2).reshape(n1, b * rank)
+        vals = lhs @ rhs.transpose(1, 0, 2).reshape(n2, b * rank).T
         y = vals - comp
         new = acc + y
         comp = (new - acc) - y
         acc = new
-        if w_target is not None:
-            fids[k] = float(np.pi * np.sum(vals * w_target) * dmeas)
-        else:
-            fids[k] = np.nan
     mean = acc / samples
     return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids)

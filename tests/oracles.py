@@ -227,3 +227,39 @@ def ref_m_element(n, d, x, dps=40):
                 return 0.0
             logpre += d * mpmath.log(x) / 2
         return float(mpmath.exp(logpre) * lag)
+
+
+def density_at(sampler, xi1, xi2):
+    """The sampler's grid density at the cell nearest each outcome (xi1, xi2)."""
+    grid = sampler.grid
+    n1, n2 = grid.resolution
+    i = np.clip(np.round((xi1 - grid.axis1[0]) / grid.spacing[0]), 0, n1 - 1).astype(int)
+    j = np.clip(np.round((xi2 - grid.axis2[0]) / grid.spacing[1]), 0, n2 - 1).astype(int)
+    return grid.values[i, j]
+
+
+def ref_conditional_values(kern, xi1, xi2, p_xi):
+    """One outcome's output grid as the dense, unfloored a1 @ w_in @ a2.T product.
+
+    The per-outcome evaluation the package used before its Gaussian
+    factors were floored and Monte Carlo outcomes batched; only the
+    kernel's grids and cached input Wigner samples are taken from it.
+    """
+    t = kern.t
+    b1, b2 = kern.out_grid.axis1, kern.out_grid.axis2
+    n1, n2 = kern.in_grid.axis1, kern.in_grid.axis2
+    with np.errstate(under="ignore"):
+        a1 = np.exp(-((b1[:, None] - n1[None, :]) ** 2) / t
+                    - t / 4.0 * ((b1[:, None] - xi1) + (n1[None, :] - xi1)) ** 2)
+        a2 = np.exp(-((b2[:, None] - n2[None, :]) ** 2) / t
+                    - t / 4.0 * ((b2[:, None] - xi2) + (n2[None, :] - xi2)) ** 2)
+    h1, h2 = kern.in_grid.spacing
+    return (a1 @ kern.w_in @ a2.T) * (2.0 / (np.pi**2 * p_xi) * h1 * h2)
+
+
+def ref_mc_average(kern, xi1s, xi2s, dens):
+    """Mean of the per-outcome grids ref_conditional_values / dens, one outcome at a time."""
+    acc = np.zeros(tuple(kern.out_grid.resolution))
+    for x1, x2, p in zip(xi1s, xi2s, dens):
+        acc += ref_conditional_values(kern, x1, x2, p)
+    return acc / len(dens)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from oracles import average_channel_displaced, channel_fidelity, marginal_wigner_a
+from oracles import (
+    average_channel_displaced,
+    channel_fidelity,
+    density_at,
+    marginal_wigner_a,
+    ref_conditional_values,
+    ref_mc_average,
+)
 
 from subplanck import (
     ComplexAmplitude,
@@ -10,20 +17,24 @@ from subplanck import (
     alice_outcome_density,
     average_channel,
     char_fn,
+    compass_fidelity,
     conditional_output,
     epr_wigner,
     fidelity_quadrature,
     husimi,
     make_coherent,
+    make_compass,
     make_number,
+    make_random,
     make_rng,
     mc_average,
     p_dist,
     p_tilde,
     sample_outcome,
 )
+from subplanck import protocol
 from subplanck.phasespace import wigner_values
-from subplanck.protocol import OutcomeSampler
+from subplanck.protocol import ConditionalKernel, OutcomeSampler, conditional_fidelity
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +186,6 @@ class TestOutcomeDensity:
         t = 0.02
         for offset in (0.0, 0.5, 1.0):
             xi = ComplexAmplitude(1.0 + offset, 0.5)
-            approx = 2 * t / np.pi * np.exp(
-                -2 * t * ((offset) ** 2 + 0) / 2 * 2
-            )
             approx = 2 * t / np.pi * np.exp(-t * offset**2)  # components: e^{-t dq^2}
             got = alice_outcome_density(coh, t, xi)
             assert got == pytest.approx(approx, rel=0.05)
@@ -283,13 +291,11 @@ class TestConditionalOutput:
 
 class TestMonteCarlo:
     def test_single_sample_equals_conditional(self, coh):
-        from subplanck.protocol import ConditionalKernel
-
         t = 1.0
         sampler = OutcomeSampler(coh, t, resolution=256)
         res = mc_average(coh, t, 1, make_rng(5), sampler=sampler)
         kern = ConditionalKernel(coh, t, out_grid=res.grid)
-        dens = sampler.density_at(res.xi1, res.xi2)
+        dens = density_at(sampler, res.xi1, res.xi2)
         ref = kern.evaluate(float(res.xi1[0]), float(res.xi2[0]), float(dens[0]))
         assert np.max(np.abs(res.grid.values - ref)) < 1e-12
 
@@ -307,3 +313,103 @@ class TestMonteCarlo:
         res = mc_average(coh, t, 400, make_rng(21), sampler=sampler)
         se = res.fidelities.std() / np.sqrt(res.fidelities.size)
         assert abs(res.fidelities.mean() - 2 / 3) < 3 * se
+
+    def test_conditioning_error_on_sampled_density(self, coh):
+        sampler = OutcomeSampler(coh, 1.0, resolution=256)
+
+        class TinyLast:
+            def sample(self, rng, size):
+                xi1, xi2, dens = sampler.sample(rng, size)
+                dens[-1] = 1e-13
+                return xi1, xi2, dens
+
+        with pytest.raises(ConditioningError):
+            mc_average(coh, 1.0, 5, make_rng(1), sampler=TinyLast())
+
+
+MC_STATES = {
+    "coherent": lambda: make_coherent(ComplexAmplitude(1.0, 0.5), 48),
+    "compass2": lambda: make_compass(2.0, 48),
+    "random12": lambda: make_random(12, seed=4),
+}
+
+
+class TestBatchedMonteCarlo:
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(MC_STATES))
+    def test_matches_per_sample_loop(self, name, t):
+        state = MC_STATES[name]()
+        sampler = OutcomeSampler(state, t, resolution=256)
+        res = mc_average(state, t, 40, make_rng(9), sampler=sampler)
+        kern = ConditionalKernel(state, t, out_grid=res.grid)
+        ref = ref_mc_average(kern, res.xi1, res.xi2, density_at(sampler, res.xi1, res.xi2))
+        assert np.max(np.abs(res.grid.values - ref)) <= 1e-12
+
+    def test_chunk_size_does_not_change_mean(self, monkeypatch):
+        state, t = make_compass(2.0, 48), 0.5
+        sampler = OutcomeSampler(state, t, resolution=256)
+        default = mc_average(state, t, 30, make_rng(4), sampler=sampler)
+        monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 1)  # one outcome per chunk
+        single = mc_average(state, t, 30, make_rng(4), sampler=sampler)
+        assert np.max(np.abs(default.grid.values - single.grid.values)) <= 1e-13
+
+    def test_input_factor_rank(self, coh):
+        left, _ = ConditionalKernel(coh, 1.0).input_factors()
+        assert left.shape[1] == 1
+        kern = ConditionalKernel(make_random(12, seed=4), 1.0)
+        left, right = kern.input_factors()
+        assert left.shape[1] <= 2 * 12 - 1
+        assert np.max(np.abs(left @ right.T - kern.w_in)) <= 1e-13 * np.max(np.abs(kern.w_in))
+
+
+class TestConditionalFidelity:
+    def test_heterodyne_limit(self, coh):
+        # at t = 2 Bob holds |xi>, so f(xi) = |<xi|psi>|^2 = pi Q(xi)
+        for state in (coh, make_compass(2.0, 48)):
+            xis = [ComplexAmplitude(*q) for q in ((0.3, -0.5), (1.0, 0.2), (-2.0, 1.0))]
+            got = conditional_fidelity(state, 2.0, np.array([xi.value for xi in xis]))
+            want = [np.pi * husimi(state, xi) for xi in xis]
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("name,t,tol", [
+        ("coherent", 1.0, 1e-10), ("compass2", 1.0, 1e-10), ("compass2", 0.5, 1e-8),
+    ])
+    def test_matches_grid_overlap(self, name, t, tol):
+        state = MC_STATES[name]()
+        kern = ConditionalKernel(state, t)
+        w_target = wigner_values(state, kern.out_grid.points())
+        for q in ((1.2, 0.3), (-0.4, 0.9), (0.1, -1.5)):
+            xi = ComplexAmplitude(*q)
+            vals = kern.evaluate(xi.q1, xi.q2, alice_outcome_density(state, t, xi))
+            grid_f = np.pi * np.sum(vals * w_target) * kern.out_grid.cell_measure
+            assert abs(conditional_fidelity(state, t, np.array(xi.value)) - grid_f) <= tol
+
+    @pytest.mark.parametrize("name,t", [("coherent", 1.0), ("compass2", 0.5)])
+    def test_sampled_mean_is_average_fidelity(self, name, t):
+        state = MC_STATES[name]()
+        want = 1 / (1 + t / 2) if name == "coherent" else compass_fidelity(2.0, t)
+        xi1, xi2, _ = OutcomeSampler(state, t).sample(make_rng(31), 20_000)
+        f = conditional_fidelity(state, t, (xi1 + 1j * xi2) / np.sqrt(2.0))
+        se = f.std(ddof=1) / np.sqrt(f.size)
+        assert abs(f.mean() - want) < 3 * se
+
+
+class TestSubnormalFloor:
+    @pytest.mark.parametrize("t", [0.5, 0.02])
+    def test_factors_zero_or_normal(self, t):
+        # products on subnormal operands run far slower; the floor keeps them out
+        state = make_compass(2.0, 48)
+        kern = ConditionalKernel(state, t)
+        for a in kern.gaussian_factors(np.array([0.3, -1.1]), np.array([-0.2, 0.8])):
+            assert np.any(a == 0.0)
+            assert np.all(np.abs(a[a != 0.0]) >= np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("t", [0.5, 0.02])
+    def test_floor_moves_values_below_1e_90(self, t):
+        state = make_compass(2.0, 48)
+        xi = ComplexAmplitude(0.3, -0.2)
+        out = conditional_output(state, t, xi)
+        ref = ref_conditional_values(
+            ConditionalKernel(state, t), xi.q1, xi.q2, alice_outcome_density(state, t, xi)
+        )
+        assert np.max(np.abs(out.values - ref)) <= 1e-90
