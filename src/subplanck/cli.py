@@ -56,10 +56,13 @@ from .phasespace import (
 )
 from .protocol import OutcomeSampler, average_channel, mc_average
 from .dynamics import (
+    KINETIC_COEFF,
     EvolutionConfig,
     SpatialGrid,
     coherent_wavefunction,
+    double_well_potential,
     evolve_chaotic,
+    split_step_evolve,
     wavefunction_to_fock,
 )
 
@@ -387,8 +390,6 @@ def cmd_random_average(args):
 
 
 def cmd_evolve(args):
-    from .dynamics import double_well_potential, split_step_evolve
-
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
@@ -402,7 +403,7 @@ def cmd_evolve(args):
         while done < cfg.n_steps:
             steps = min(args.snapshot_stride, cfg.n_steps - done)
             part = EvolutionConfig(dt=args.dt, t_final=steps * args.dt, grid=grid)
-            cur = split_step_evolve(cur, 5.0, double_well_potential, part, t0=tau)
+            cur = split_step_evolve(cur, KINETIC_COEFF, double_well_potential, part, t0=tau)
             tau += steps * args.dt
             done += steps
             for xv, sv in zip(cur.x, cur.samples):

@@ -15,6 +15,9 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, roots_hermite
 
+from subplanck import BoundaryLeakError
+from subplanck.dynamics import SpatialGrid, WaveFunction
+
 
 def ref_displacement_element(m, n, mu):
     """<m|D(mu)|n> straight from the two-branch Laguerre closed form."""
@@ -263,3 +266,31 @@ def ref_mc_average(kern, xi1s, xi2s, dens):
     for x1, x2, p in zip(xi1s, xi2s, dens):
         acc += ref_conditional_values(kern, x1, x2, p)
     return acc / len(dens)
+
+
+def ref_double_well_potential(x, tau):
+    """The driven double well -8 x^2 + 0.05 x^4 + 65 x cos(2 pi tau), written out."""
+    return -8.0 * x**2 + 0.05 * x**4 + 65.0 * x * np.cos(2.0 * np.pi * tau)
+
+
+def ref_split_step_evolve(psi, kinetic_coeff, potential_fn, config, t0=0.0, check_edges=True):
+    """Strang splitting with two half-kicks per step, the potential sampled per half-step pair."""
+    grid = SpatialGrid(psi.x_min, psi.x_min + psi.dx * psi.n_points, psi.n_points)
+    x, k = grid.x, grid.k
+    dt = config.dt
+    kin = np.exp(-1j * kinetic_coeff * k**2 * dt)
+    cur = psi.samples.astype(complex)
+    tau = t0
+    for _ in range(config.n_steps):
+        half = np.exp(-0.5j * dt * potential_fn(x, tau + dt / 2.0))
+        cur = half * cur
+        cur = np.fft.ifft(kin * np.fft.fft(cur))
+        cur = half * cur
+        tau += dt
+        if check_edges:
+            edge = max(abs(cur[0]) ** 2, abs(cur[-1]) ** 2)
+            if edge > 1e-10:
+                raise BoundaryLeakError(
+                    f"edge density {edge:.3e} at tau = {tau:.4f}; enlarge the grid"
+                )
+    return WaveFunction(cur, psi.x_min, psi.dx)

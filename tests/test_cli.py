@@ -232,6 +232,18 @@ class TestEvolveCommand:
         assert len(taus) == 2  # 40 steps at stride 20
         assert rows.shape == (2 * 512, 4)
 
+    def test_strided_final_matches_unstrided(self, tmp_path):
+        argv = ["evolve", "--t-final", "0.02", "--dt", "0.0005",
+                "--grid-points", "512", "--grid-min", "-24", "--grid-max", "24",
+                "--t-steps", "3"]
+        whole, strided = str(tmp_path / "whole"), str(tmp_path / "strided")
+        assert main(argv + ["--out-prefix", whole]) == 0
+        assert main(argv + ["--snapshot-stride", "15", "--out-prefix", strided]) == 0
+        _, ref = read_csv(whole + "_final_wavefunction.csv")
+        _, out = read_csv(strided + "_final_wavefunction.csv")
+        assert np.array_equal(out[:, 0], ref[:, 0])
+        assert np.max(np.abs(out[:, 1:] - ref[:, 1:])) <= 1e-10
+
     def test_zero_steps_echoes_initial(self, tmp_path):
         prefix = str(tmp_path / "zero")
         rc = main([

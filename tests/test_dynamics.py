@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from oracles import ref_double_well_potential, ref_split_step_evolve
 
 from subplanck import (
     BoundaryLeakError,
@@ -14,7 +17,13 @@ from subplanck import (
     make_coherent,
     wavefunction_to_fock,
 )
-from subplanck.dynamics import hermite_functions, split_step_evolve
+from subplanck.dynamics import (
+    KINETIC_COEFF,
+    _linear_phase,
+    double_well_potential,
+    hermite_functions,
+    split_step_evolve,
+)
 
 
 SMALL = SpatialGrid(-20.0, 20.0, 1024)
@@ -84,6 +93,68 @@ class TestEvolution:
             EvolutionConfig(dt=-1e-3)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=3e-4, t_final=1.0)  # non-integer step count
+
+
+class TestFusedKicks:
+    """The fused-kick loop against the two-half-kicks-per-step reference."""
+
+    CHUNK = EvolutionConfig(dt=2.5e-4, t_final=0.25)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.25])
+    def test_double_well_matches_reference(self, t0):
+        w = coherent_wavefunction(-8.0, 4.0, SpatialGrid())
+        out = split_step_evolve(w, KINETIC_COEFF, double_well_potential, self.CHUNK, t0=t0)
+        ref = ref_split_step_evolve(w, KINETIC_COEFF, ref_double_well_potential, self.CHUNK, t0=t0)
+        assert np.max(np.abs(out.samples - ref.samples)) <= 1e-10
+
+    def test_chained_calls_match_one_call(self):
+        # each call opens and closes with a half-kick; chaining must not change the result
+        w = coherent_wavefunction(-8.0, 4.0, SpatialGrid())
+        whole = split_step_evolve(w, KINETIC_COEFF, double_well_potential, self.CHUNK)
+        quarter = EvolutionConfig(dt=2.5e-4, t_final=0.0625)
+        cur = w
+        for k in range(4):
+            cur = split_step_evolve(cur, KINETIC_COEFF, double_well_potential, quarter,
+                                    t0=k * 0.0625)
+        assert np.max(np.abs(cur.samples - whole.samples)) <= 1e-10
+
+    def test_wrapped_double_well_keeps_static_kicks(self):
+        calls = []
+
+        @functools.wraps(double_well_potential)
+        def wrapped(x, tau):
+            calls.append(tau)
+            return double_well_potential(x, tau)
+
+        w = coherent_wavefunction(-8.0, 4.0, SpatialGrid())
+        cfg = EvolutionConfig(dt=2.5e-4, t_final=0.0125)
+        out = split_step_evolve(w, KINETIC_COEFF, wrapped, cfg, t0=0.5)
+        ref = split_step_evolve(w, KINETIC_COEFF, double_well_potential, cfg, t0=0.5)
+        assert calls == []
+        assert np.array_equal(out.samples, ref.samples)
+
+    def test_sampled_potential_matches_reference(self):
+        def potential(x, tau):
+            return 0.5 * x**2 + 0.02 * x**4 + 3.0 * x * np.sin(4.0 * tau)
+
+        w = coherent_wavefunction(2.0, -1.0, SMALL)
+        cfg = EvolutionConfig(dt=1e-3, t_final=0.4, grid=SMALL)
+        out = split_step_evolve(w, 0.5, potential, cfg, t0=0.1)
+        ref = ref_split_step_evolve(w, 0.5, potential, cfg, t0=0.1)
+        assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12
+
+    def test_potential_matches_written_out_form(self):
+        x = SpatialGrid().x
+        for tau in (0.0, 0.13, 0.25, 0.9):
+            ref = ref_double_well_potential(x, tau)
+            assert np.max(np.abs(double_well_potential(x, tau) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [SpatialGrid(), SpatialGrid(-24.0, 24.0, 512)])
+    def test_linear_phase_ramp(self, grid):
+        for a in (0.0, 1.7e-3, -8.1e-3, 1.625e-2):
+            ramp = _linear_phase(a, grid)
+            assert ramp.shape == (grid.n_points,)
+            assert np.max(np.abs(ramp - np.exp(-1j * a * grid.x))) <= 1e-15
 
 
 class TestFockProjection:
