@@ -166,11 +166,30 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _row_format(types):
+    """A %-template writing a row of these field types as _fmt does, or None."""
+    fields = []
+    for t in types:
+        if issubclass(t, (int, np.integer)):
+            fields.append("%d")
+        elif issubclass(t, (float, np.floating)):
+            fields.append("%.17g")
+        else:
+            return None
+    return ",".join(fields)
+
+
 def write_csv(path, header, columns, rows):
     lines = [f"# {k}={v}" for k, v in header.items()]
     lines.append("# columns=" + ",".join(columns))
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        fmt = formats[types]
+        lines.append(fmt % row if fmt else ",".join(_fmt(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -393,6 +412,7 @@ def cmd_evolve(args):
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
+    unstrided = None  # the one-call run at dt, when this command makes it
     if cfg.n_steps == 0:
         final = psi0
     elif args.snapshot_stride > 0:
@@ -413,7 +433,7 @@ def cmd_evolve(args):
                   {"dt": _fmt(args.dt), "stride": args.snapshot_stride},
                   ["tau", "x", "re_psi", "im_psi"], snap_rows)
     else:
-        final = evolve_chaotic(psi0, cfg)
+        final = unstrided = evolve_chaotic(psi0, cfg)
     write_csv(args.out_prefix + "_final_wavefunction.csv",
               {"t_final": _fmt(args.t_final), "dt": _fmt(args.dt),
                "x_min": _fmt(grid.x_min), "dx": _fmt(grid.dx),
@@ -458,8 +478,12 @@ def cmd_evolve(args):
     if args.convergence:
         base = args.dt * 4
         runs = []
-        for dt_ in (base, base / 2, base / 4):
+        for dt_ in (base, base / 2):
             runs.append(evolve_chaotic(psi0, EvolutionConfig(dt=dt_, t_final=args.t_final, grid=grid)))
+        # base / 4 is args.dt exactly, so the finest run is the unstrided one
+        if unstrided is None:
+            unstrided = evolve_chaotic(psi0, EvolutionConfig(dt=base / 4, t_final=args.t_final, grid=grid))
+        runs.append(unstrided)
         d1 = float(np.linalg.norm(runs[0].samples - runs[1].samples))
         d2 = float(np.linalg.norm(runs[1].samples - runs[2].samples))
         summary["convergence_ratio"] = d1 / d2

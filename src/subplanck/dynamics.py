@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
+from . import fock
 from .errors import BoundaryLeakError, GridExtentError, LeakageError
 from .fock import PureState
 
@@ -228,14 +229,8 @@ def evolve_chaotic(psi: WaveFunction, config: EvolutionConfig = EvolutionConfig(
 # ---------------------------------------------------------------------------
 
 def hermite_functions(x, n_max):
-    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x."""
-    out = np.empty((n_max, x.size))
-    out[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    if n_max > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max - 1):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1)) * out[n - 1]
-    return out
+    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x (`fock.hermite_functions`)."""
+    return fock.hermite_functions(x, n_max)
 
 
 def suggest_fock_dim(psi: WaveFunction, sigmas=6.0) -> int:

@@ -9,7 +9,6 @@ machinery with a different damping; forms 2 and 3 contract sampled
 Wigner grids against Gaussian difference kernels.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,18 +264,6 @@ def compass_fidelity(a, t) -> float:
     return base * (1.0 + num / den)
 
 
-def compass_slope_factor(a) -> float:
-    """(Delta x)^2 + (Delta p)^2 of the compass state, closed form."""
-    big_a = float(a) * float(a)
-    if big_a > 700.0:
-        return 1.0 + 2.0 * big_a
-    sh = 0.5 * (1.0 - np.exp(-2.0 * big_a))  # sinh(A) e^{-A}
-    ch = 0.5 * (1.0 + np.exp(-2.0 * big_a))
-    sn = np.sin(big_a) * np.exp(-big_a)
-    cn = np.cos(big_a) * np.exp(-big_a)
-    return 1.0 + 2.0 * big_a * (sh - sn) / (ch + cn)
-
-
 # ---------------------------------------------------------------------------
 # random-state ensemble averages
 # ---------------------------------------------------------------------------
@@ -307,47 +294,6 @@ def random_avg_fidelity(dim, t) -> float:
         sq_sums[: slab.shape[0]] += slab * slab
     pairs = np.where(ds > 0, 2.0, 1.0) @ sq_sums
     return float(np.sum(damp * (lam_sum**2 + pairs))) / (dim * (dim + 1))
-
-
-def random_avg_fidelity_series(dim, t) -> float:
-    """Literal terminating-hypergeometric double sum (log-domain terms).
-
-    Kept as a cross-check; accurate only for small dim because the series
-    alternates with large terms.
-    """
-    t = as_t(t)
-    if t == 0:
-        return 1.0
-
-    def signed_pow(base, k):
-        if k == 0:
-            return 1.0
-        if base == 0.0:
-            return 0.0
-        return math.copysign(math.exp(k * math.log(abs(base))), base if k % 2 else 1.0)
-
-    x1 = 1.0 - t * t / 4.0
-    x2 = 4.0 - t * t
-    log_c = math.log1p(t / 2.0)
-    terms = []
-    for m in range(dim):
-        for n in range(dim):
-            for k in range(min(m, n) + 1):
-                logt = (
-                    gammaln(m + n - k + 1)
-                    - gammaln(m - k + 1)
-                    - gammaln(n - k + 1)
-                    - gammaln(k + 1)
-                    - (m + n + 1) * log_c
-                )
-                sign = -1.0 if k % 2 else 1.0
-                first = sign * signed_pow(x1, k)
-                # the sign alternation cancels against (1 - 4/t^2)^k < 0
-                second = signed_pow(x2, k) * math.exp(
-                    (m + n - 2 * k) * math.log(t) - (m + n) * math.log(2.0)
-                )
-                terms.append(math.exp(logt) * (first + second))
-    return math.fsum(terms) / (dim * (dim + 1))
 
 
 def random_slope_avg(dim) -> float:
@@ -405,12 +351,3 @@ def scale_report(state, label="") -> ScaleReport:
     if abs(fine * extent - 2.0) > 1e-8:
         raise AssertionError("fine/large scale reciprocity violated")
     return ScaleReport(slope0, t_crit, fine, extent, state=label)
-
-
-# ---------------------------------------------------------------------------
-# curves
-# ---------------------------------------------------------------------------
-
-def quadrature_curve(state, ts, form=4, label="") -> FidelityCurve:
-    f = np.array([fidelity_quadrature(state, t, form) for t in ts])
-    return FidelityCurve(np.asarray(ts, float), f, state=label, method=f"form{form}")

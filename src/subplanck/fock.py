@@ -16,10 +16,12 @@ any truncation or displacement used here; factorial ratios enter only
 through log-gammas.  One private kernel, `_radial_slabs`, runs that
 recurrence along n for all requested offsets d and all points at once,
 yielding one slab R_n[d, point] per step (`_m_seq` is its Cahill-Glauber
-case); every radial sum in the package (displacement matrices,
-characteristic functions, s-ordered quasidistributions, the averaged
-channel, ensemble and entanglement fidelities) contracts those slabs, so
-a call costs as many Python steps as the longest diagonal it needs.
+case); every radial sum in the package (displacement matrices, the
+characteristic function on polar nodes, the averaged channel, ensemble
+and entanglement fidelities) contracts those slabs, so a call costs as
+many Python steps as the longest diagonal it needs.  The Hermite
+functions (`hermite_rows`, `hermite_functions`) serve the position-space
+projection and the separable phase-space kernel of `phasespace`.
 """
 
 import warnings
@@ -259,6 +261,30 @@ def _unit_powers(z, count):
     out[0] = 1.0
     for k in range(1, count):
         np.multiply(out[k - 1], z, out=out[k])
+    return out
+
+
+def hermite_rows(x, n_max):
+    """Yield the oscillator eigenfunctions phi_0(x) .. phi_{n_max-1}(x) (read-only rows).
+
+    The orthonormal Hermite functions by their three-term recurrence,
+    holding two rows at a time; `hermite_functions` stacks them.
+    """
+    prev = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    yield prev
+    if n_max > 1:
+        cur = np.sqrt(2.0) * x * prev
+        yield cur
+        for n in range(1, n_max - 1):
+            prev, cur = cur, np.sqrt(2.0 / (n + 1)) * x * cur - np.sqrt(n / (n + 1)) * prev
+            yield cur
+
+
+def hermite_functions(x, n_max):
+    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x, shape (n_max, x.size)."""
+    out = np.empty((n_max, x.size))
+    for n, row in enumerate(hermite_rows(x, n_max)):
+        out[n] = row
     return out
 
 

@@ -179,12 +179,6 @@ def purify(rho: DensityOp) -> PureState:
     return PureState(psi, normalize=True, fix_phase=False)
 
 
-def partial_trace_ancilla(joint: PureState, dim) -> np.ndarray:
-    """Trace out the (major-index) ancilla of a flattened joint pure state."""
-    psi = joint.coeffs.reshape(dim, dim)
-    return np.einsum("uv,uw->vw", psi, np.conj(psi))
-
-
 def mixed_scale_report(rho, label="") -> ScaleReport:
     """Scale measures for a mixed state, from its quadrature variances."""
     rho = _as_density(rho)

@@ -1,18 +1,34 @@
 """Characteristic functions and s-ordered quasiprobability distributions.
 
-Pointwise evaluation is organized by diagonals of the density matrix:
-both the characteristic function and every s <= 0 quasidistribution are
-sums over offsets d of radial functions (scaled generalized-Laguerre
-recurrences, bounded by construction) times angular phases e^{i d phi}.
-The radial functions come from the single vectorized kernel of `fock`,
-one slab over all offsets and points per step n, so an evaluation costs
-as many Python steps as the state's longest kept diagonal; arbitrary
-point sets are processed in chunks of at most CHUNK_ELEMENTS slab
-values, and each offset's phase is applied once, after its n-sum, by
-Horner's rule.  The Wigner function is the s = 0 member, evaluated
-through the parity form of the quasiprobability operator
-(2 D(2 alpha) (-1)^n), so no grid Fourier transforms enter the primary
-path.
+Pointwise W^(s) (s <= 0), the Wigner function (s = 0) and the
+characteristic function share one separable kernel in the Hermite-function
+basis h_j.  Take the trimmed Fock support D and K = 2D - 1.  Rotating the
+density matrix by 45 degrees, rho(x1, x2) with u = (x1 + x2)/sqrt 2 and
+v = (x2 - x1)/sqrt 2, and expanding it in h_j(u) h_k(v) with column k
+scaled by i^k gives a real K x K matrix C~, and then
+
+    W^(s)(a) = (2/sqrt pi) sum_ik (T^T C~ T)_ik h_i(2 sqrt(eta) Re a) h_k(2 sqrt(eta) Im a),
+    Phi(mu)  = sqrt(pi) sum_jk C~_jk i^{j-k} h_j(Im mu) h_k(Re mu),
+
+with eta = 1/(1 - s) and T the exact Gaussian smoothing of each h_j
+(`_smoothing`; T = I at s = 0).  C~ is exact from K-node Gauss-Hermite
+quadrature, because every coefficient's integrand is e^{-u^2-v^2} times a
+polynomial of degree <= 4D - 4 per axis (Cahill & Glauber, Phys. Rev. 177,
+1882 (1969) for the s-ordered family).  An evaluation builds Hermite tables
+on the points' distinct real and imaginary coordinates and contracts them
+with the K x K matrix: a tensor-product point set (every PhaseGrid and row
+block) costs K^2 n_y + K n_x n_y, a scattered one K^2 + K per point, and
+the point set itself picks the form.  Tables hold at most CHUNK_ELEMENTS
+values, products run on fixed coordinate tiles (so values do not depend on
+chunking), and product operands hold no magnitudes below 1e-100.  C~ costs
+O(D K^2) plus three K^3 products to build and is rebuilt on every call;
+for a few points on a large-support state (about 0.7 s at D = 296) that is
+dearer than a per-point radial kernel, for grids it is far cheaper.
+
+The characteristic function on polar quadrature nodes (`char_on_polar`)
+keeps the offset-diagonal form: a sum over offsets d of scaled Laguerre
+recurrences from `fock`, one slab over all offsets and nodes per step,
+times angular phases e^{i d phi}.
 """
 
 import weakref
@@ -20,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.special import gammaln, roots_hermite
 
 from .errors import GridResolutionError
 from .fock import (
@@ -27,15 +44,14 @@ from .fock import (
     DensityOp,
     PureState,
     _as_complex,
-    _log_start,
     _m_seq,
-    _radial_slabs,
-    _unit_powers,
+    hermite_functions,
+    hermite_rows,
     quad_moments,
 )
 
 VACUUM_WIDTH = 1.0 / np.sqrt(2.0)
-# Largest kernel slab (offsets x points) held at once by pointwise kernels.
+# Largest per-point table (points x Hermite orders, or kernel slabs) held at once.
 CHUNK_ELEMENTS = 2**18
 
 
@@ -178,69 +194,191 @@ def _radial_sums(diags, slabs, npts):
     return out
 
 
-def _phase_series(coef, ds, z):
-    """sum_i coef[i] z^ds[i] (ds ascending) by Horner's rule over the gaps."""
-    gaps = np.diff(ds, prepend=0)
-    power = _unit_powers(z, gaps.max() + 1)
-    acc = coef[-1]
-    for i in range(len(ds) - 2, -1, -1):
-        acc = acc * power[gaps[i + 1]] + coef[i]
-    return acc * power[gaps[0]] if ds[0] else acc
+# ---------------------------------------------------------------------------
+# separable Hermite-basis kernel
+# ---------------------------------------------------------------------------
+
+# Matrix products over point coordinates run on fixed tiles (rows of first-axis
+# coordinates x columns of second-axis ones), aligned to the padded coordinate
+# lists, so a value's arithmetic does not depend on how tables are chunked.
+_TILE_ROWS, _TILE_COLS = 16, 128
+# Operands of matrix products hold no magnitudes below this: no subnormal arithmetic.
+_FLOOR = 1e-100
 
 
-def _angular_accumulate(diags, points, slabs, combine):
-    """Offset sums of a radial kernel on arbitrary complex points.
+def _floored(a):
+    a[np.abs(a) < _FLOOR] = 0.0
+    return a
 
-    Points are processed in chunks small enough that neither a kernel slab
-    (offsets x points) nor a phase-power table (largest offset gap + 1
-    powers per point) exceeds CHUNK_ELEMENTS values.  For each chunk,
-    combine(A, ds, unit) turns the per-offset radial sums A (rows in diags
-    order, offsets ds) and the unit phasors unit = e^{i phi} into values.
+
+def _padded(x, tile):
+    return np.concatenate([x, np.zeros(-x.size % tile)])
+
+
+def _table_passes(x, count, tile):
+    """(lo, h) for passes over x (a whole number of tiles long), h[p, j] = h_j(x[lo + p]).
+
+    Each pass holds as many whole tiles as fit in CHUNK_ELEMENTS table
+    values, one at least; tables are floored and contiguous per point.
     """
-    pts = np.asarray(points, dtype=complex)
-    flat = pts.ravel()
-    ds = np.array([d for d, _ in diags])
-    out = np.empty(flat.shape, dtype=complex)
-    width = max(len(diags), int(np.diff(ds, prepend=0).max()) + 1)
-    chunk = max(1, CHUNK_ELEMENTS // width)
-    for lo in range(0, flat.size, chunk):
-        p = flat[lo : lo + chunk]
-        mag = np.abs(p)
-        with np.errstate(invalid="ignore"):
-            unit = np.where(mag > 0, p / np.where(mag > 0, mag, 1.0), 1.0)
-        sums = _radial_sums(diags, lambda ds, counts: slabs(ds, counts, mag * mag), p.size)
-        out[lo : lo + chunk] = combine(sums, ds, unit)
-    return out.reshape(pts.shape)
+    width = max(1, CHUNK_ELEMENTS // (count * tile)) * tile
+    for lo in range(0, x.size, width):
+        yield lo, _floored(hermite_functions(x[lo : lo + width], count).T.copy())
 
 
-def _t_slabs(s, ds, counts, r2):
-    """Radial parts of <n+d| T^(s)(alpha) |n> (phase e^{i d phi} removed).
+def _tensor_values(mats, xs, ys):
+    """out[r, i, j] = sum_ab mats[r, a, b] h_a(xs[i]) h_b(ys[j])."""
+    count = mats.shape[-1]
+    rows, cols = _TILE_ROWS, _TILE_COLS
+    xs, ys = _padded(xs, rows), _padded(ys, cols)
+    out = np.empty((len(mats), xs.size, ys.size))
+    for c0, hy in _table_passes(ys, count, cols):
+        # g[r][p, a] = sum_b mats[r, a, b] h_b(y_p), one tile of columns at a time
+        g = [[hy[j : j + cols] @ m.T for m in mats] for j in range(0, hy.shape[0], cols)]
+        for r0, hx in _table_passes(xs, count, rows):
+            for i in range(0, hx.shape[0], rows):
+                a = hx[i : i + rows]
+                for j, gj in enumerate(g):
+                    lo = c0 + j * cols
+                    for r, gr in enumerate(gj):
+                        out[r, r0 + i : r0 + i + rows, lo : lo + cols] = a @ gr.T
+    return out
 
-    T^(s) is the operator whose trace against rho gives pi W^(s); the
-    iterates stay bounded by 2/(1-s) for all s <= 0, including the
-    endpoint s = -1 where they collapse onto coherent-state overlaps.
+
+def _scattered_values(mats, x, y):
+    """out[r, p] = sum_ab mats[r, a, b] h_a(x[p]) h_b(y[p]), per-point dot products."""
+    count, cols = mats.shape[-1], _TILE_COLS
+    x, y = _padded(x, cols), _padded(y, cols)
+    out = np.empty((len(mats), x.size))
+    for (lo, hx), (_, hy) in zip(_table_passes(x, count, cols), _table_passes(y, count, cols)):
+        for j in range(0, hx.shape[0], cols):
+            a, b = hx[j : j + cols], hy[j : j + cols]
+            for r, m in enumerate(mats):
+                out[r, lo + j : lo + j + cols] = np.sum(a * (b @ m.T), axis=1)
+    return out
+
+
+def _separable_values(mats, x, y):
+    """sum_ab mats[r, a, b] h_a(x) h_b(y) at every point, stacked over r.
+
+    The point set picks the evaluation: on its distinct first and second
+    coordinates the tensor form costs K^2 n_y + K n_x n_y, so it is used
+    whenever those pairs are at most twice the points (every PhaseGrid and
+    row block), and its values are gathered; otherwise each point costs
+    one K^2 product row and a dot product.
     """
-    one_minus = 1.0 - s
-    sig = (s + 1.0) / (s - 1.0)
-    sig_y = -4.0 * r2 / one_minus**2  # sigma * y, finite for every s < 1
-    with np.errstate(divide="ignore"):
-        log_y = np.where(r2 > 0, np.log(r2), -np.inf) + 2 * np.log(2.0 / one_minus)
-    start = (2.0 / one_minus) * _log_start(ds, log_y, 2.0 * r2 / one_minus)
-    return _radial_slabs(ds, counts, start, sig, sig_y)
+    shape = x.shape
+    if x.size == 0:
+        return np.zeros((len(mats),) + shape)
+    if x.ndim == 2 and (x == x[:, :1]).all() and (y == y[:1]).all():
+        # a grid (rows of equal first coordinate): its axes are read off directly
+        xs, ys = x[:, 0].copy(), y[0].copy()
+        ix, iy = np.arange(shape[0])[:, None], np.arange(shape[1])[None, :]
+    else:
+        x, y = x.ravel(), y.ravel()
+        xs, ix = np.unique(x, return_inverse=True)
+        ys, iy = np.unique(y, return_inverse=True)
+        if xs.size * ys.size > 2 * x.size:
+            return _scattered_values(mats, x, y)[:, : x.size].reshape((len(mats),) + shape)
+    return _tensor_values(mats, xs, ys)[:, ix, iy].reshape((len(mats),) + shape)
+
+
+def _rotated_density(state, dim, u):
+    """F[a, b] = rho(x1, x2) at x1 = (u_a - u_b)/sqrt2, x2 = (u_a + u_b)/sqrt2.
+
+    u must be exactly antisymmetric, so x1[a, b] = x2[a, K-1-b].  A pure
+    state's psi is accumulated along the Hermite recurrence at every x2
+    (elementwise, O(D K^2)); a density matrix takes per-point tables at x1
+    and x2 and two real products with its trimmed matrix per tile.
+    """
+    k = u.size
+    x2 = ((u[:, None] + u[None, :]) / np.sqrt(2.0)).ravel()
+    if isinstance(state, PureState):
+        c = state.coeffs[:dim]
+        psi = np.empty(x2.size, dtype=complex)
+        for lo in range(0, x2.size, CHUNK_ELEMENTS):
+            re, im = np.zeros((2, min(CHUNK_ELEMENTS, x2.size - lo)))
+            for n, h in enumerate(hermite_rows(x2[lo : lo + CHUNK_ELEMENTS], dim)):
+                re += c.real[n] * h
+                im += c.imag[n] * h
+            psi.real[lo : lo + re.size], psi.imag[lo : lo + re.size] = re, im
+        psi = psi.reshape(k, k)
+        return psi[:, ::-1] * np.conj(psi)
+    rho = state.matrix[:dim, :dim]
+    coef = np.concatenate([rho.real.T, rho.imag.T], axis=1)
+    cols = _TILE_COLS
+    x1 = _padded(x2.reshape(k, k)[:, ::-1].ravel(), cols)
+    f = np.empty(x1.size, dtype=complex)
+    passes = zip(_table_passes(x1, dim, cols), _table_passes(_padded(x2, cols), dim, cols))
+    for (lo, h1), (_, h2) in passes:
+        for j in range(0, h1.shape[0], cols):
+            a, g = h1[j : j + cols], h2[j : j + cols] @ coef  # g[p, m] = sum_n rho_mn phi_n(x2_p)
+            f.real[lo + j : lo + j + cols] = np.sum(a * g[:, :dim], axis=1)
+            f.imag[lo + j : lo + j + cols] = np.sum(a * g[:, dim:], axis=1)
+    return f[: k * k].reshape(k, k)
+
+
+def _coefficient_matrix(state):
+    """C~ with rho(x1, x2) = sum_jk C~_jk (-i)^k h_j(u) h_k(v), u, v = (x1 +- x2)/sqrt2.
+
+    The integrand of each coefficient is e^{-u^2-v^2} times a polynomial of
+    degree <= 4D - 4 per axis (D the trimmed support), so K = 2D - 1 Gauss-
+    Hermite nodes per axis give C~ exactly: C = (H w) F (H w)^T with F the
+    density at the rotated nodes and w_a = 1 / sum_j h_j(u_a)^2.  Returns a
+    real K x K matrix.
+    """
+    dim = max(d + w.size for d, w in state_diagonals(state))
+    k = 2 * dim - 1
+    u = roots_hermite(k)[0]
+    u = (u - u[::-1]) / 2.0  # exactly antisymmetric
+    f = _rotated_density(state, dim, u)
+    h = hermite_functions(u, k)
+    hw = _floored(h / np.sum(h * h, axis=0))
+    x_re, x_im = _floored(hw @ _floored(f.real.copy())), _floored(hw @ _floored(f.imag.copy()))
+    # C~_jk = Re(C_jk i^k): columns k = 0, 1, 2, 3 mod 4 take Re C, -Im C, -Re C, Im C
+    out = np.empty((k, k))
+    sign = (-1.0) ** (np.arange(k) // 2)
+    out[:, 0::2] = (x_re @ hw[0::2].T) * sign[0::2]
+    out[:, 1::2] = -(x_im @ hw[1::2].T) * sign[1::2]
+    return _floored(out)
+
+
+def _smoothing(s, k):
+    """T: the s-ordering Gaussian smoothing of h_j(z) is sum_i T_ji h_i(sqrt(eta) z).
+
+    T_ji = sqrt(j!/i!) eta^{(1+i)/2} beta^{(j-i)/2} / ((j-i)/2)! for j - i even
+    and >= 0, with eta = 1/(1 - s) and beta = (1 - eta)/2, formed in the log
+    domain (all entries are positive).  The smoothing has variance -s in z.
+    """
+    eta = 1.0 / (1.0 - s)
+    j, i = np.arange(k)[:, None], np.arange(k)[None, :]
+    half = np.maximum(j - i, 0) // 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # beta = 0 (s -> 0): T = I
+        log_beta = np.where(half > 0, half * np.log((1.0 - eta) / 2.0), 0.0)
+    log_t = (
+        0.5 * (gammaln(j + 1) - gammaln(i + 1))
+        + 0.5 * (1 + i) * np.log(eta)
+        + log_beta
+        - gammaln(half + 1)
+    )
+    return _floored(np.where((j >= i) & ((j - i) % 2 == 0), np.exp(log_t), 0.0))
 
 
 def squasi_values(state, s, points):
-    """W^(s) at complex points, by the closed offset-diagonal kernel."""
+    """W^(s) (s <= 0) at complex points, by the separable Hermite kernel.
 
-    def combine(sums, ds, unit):
-        # pairs (n+d, n) and (n, n+d) give 2 Re(A_d e^{-i d phi}); d = 0 once
-        total = 2.0 * _phase_series(sums, ds, np.conj(unit)).real
-        return total - sums[0].real if ds[0] == 0 else total
-
-    acc = _angular_accumulate(
-        state_diagonals(state), points, lambda ds, counts, r2: _t_slabs(s, ds, counts, r2), combine
-    )
-    return acc.real / np.pi
+    W^(s)(a) = (2/sqrt pi) sum_ik (T^T C~ T)_ik h_i(2 sqrt(eta) Re a) h_k(2 sqrt(eta) Im a).
+    """
+    if s > 0:
+        raise ValueError("s > 0 distributions are singular and rejected")
+    c = _coefficient_matrix(state)
+    if s != 0:
+        t = _smoothing(s, c.shape[0])
+        c = _floored(t.T @ c) @ t
+    mat = _floored((2.0 / np.sqrt(np.pi)) * c)
+    pts = np.asarray(points, dtype=complex)
+    scale = 2.0 / np.sqrt(1.0 - s)
+    return _separable_values(mat[None], scale * pts.real, scale * pts.imag)[0]
 
 
 def wigner_values(state, points):
@@ -248,14 +386,16 @@ def wigner_values(state, points):
 
 
 def char_values(state, points):
-    """Characteristic function tr[rho D(mu)] at complex points mu."""
-
-    def combine(sums, ds, unit):
-        # <n|D|n+d> carries (-1)^d e^{-id phi}, <n+d|D|n> carries e^{+id phi}
-        total = _phase_series(sums, ds, -np.conj(unit)) + _phase_series(np.conj(sums), ds, unit)
-        return total - sums[0] if ds[0] == 0 else total
-
-    return _angular_accumulate(state_diagonals(state), points, _m_seq, combine)
+    """Characteristic function tr[rho D(mu)] = sqrt(pi) sum_jk C~_jk i^{j-k} h_j(Im mu) h_k(Re mu)."""
+    c = np.sqrt(np.pi) * _coefficient_matrix(state)
+    k = c.shape[0]
+    d = (np.arange(k)[:, None] - np.arange(k)[None, :]) % 4  # i^{j-k} = 1, i, -1, -i
+    mats = np.stack([np.choose(d, [1.0, 0.0, -1.0, 0.0]) * c, np.choose(d, [0.0, 1.0, 0.0, -1.0]) * c])
+    # transposed to [k, j], so the first coordinate is Re mu
+    mats = _floored(np.swapaxes(mats, 1, 2).copy())
+    pts = np.asarray(points, dtype=complex)
+    vals = _separable_values(mats, pts.real, pts.imag)
+    return vals[0] + 1j * vals[1]
 
 
 def char_on_polar(state, x, theta):

@@ -294,3 +294,167 @@ def ref_split_step_evolve(psi, kinetic_coeff, potential_fn, config, t0=0.0, chec
                     f"edge density {edge:.3e} at tau = {tau:.4f}; enlarge the grid"
                 )
     return WaveFunction(cur, psi.x_min, psi.dx)
+
+
+# ---------------------------------------------------------------------------
+# radial-kernel W^(s) and characteristic function (per-point offset sums)
+# ---------------------------------------------------------------------------
+
+# Largest kernel slab (offsets x points) held at once by the radial oracles.
+REF_CHUNK_ELEMENTS = 2**18
+
+
+def _ref_phase_series(coef, ds, z):
+    """sum_i coef[i] z^ds[i] (ds ascending) by Horner's rule over the gaps."""
+    from subplanck.fock import _unit_powers
+
+    gaps = np.diff(ds, prepend=0)
+    power = _unit_powers(z, gaps.max() + 1)
+    acc = coef[-1]
+    for i in range(len(ds) - 2, -1, -1):
+        acc = acc * power[gaps[i + 1]] + coef[i]
+    return acc * power[gaps[0]] if ds[0] else acc
+
+
+def _ref_angular_accumulate(diags, points, slabs, combine):
+    """Offset sums of a radial kernel on arbitrary complex points, chunked."""
+    from subplanck.phasespace import _radial_sums
+
+    pts = np.asarray(points, dtype=complex)
+    flat = pts.ravel()
+    ds = np.array([d for d, _ in diags])
+    out = np.empty(flat.shape, dtype=complex)
+    width = max(len(diags), int(np.diff(ds, prepend=0).max()) + 1)
+    chunk = max(1, REF_CHUNK_ELEMENTS // width)
+    for lo in range(0, flat.size, chunk):
+        p = flat[lo : lo + chunk]
+        mag = np.abs(p)
+        with np.errstate(invalid="ignore"):
+            unit = np.where(mag > 0, p / np.where(mag > 0, mag, 1.0), 1.0)
+        sums = _radial_sums(diags, lambda ds, counts: slabs(ds, counts, mag * mag), p.size)
+        out[lo : lo + chunk] = combine(sums, ds, unit)
+    return out.reshape(pts.shape)
+
+
+def _ref_t_slabs(s, ds, counts, r2):
+    """Radial parts of <n+d| T^(s)(alpha) |n> (phase e^{i d phi} removed)."""
+    from subplanck.fock import _log_start, _radial_slabs
+
+    one_minus = 1.0 - s
+    sig = (s + 1.0) / (s - 1.0)
+    sig_y = -4.0 * r2 / one_minus**2  # sigma * y, finite for every s < 1
+    with np.errstate(divide="ignore"):
+        log_y = np.where(r2 > 0, np.log(r2), -np.inf) + 2 * np.log(2.0 / one_minus)
+    start = (2.0 / one_minus) * _log_start(ds, log_y, 2.0 * r2 / one_minus)
+    return _radial_slabs(ds, counts, start, sig, sig_y)
+
+
+def ref_squasi_values(state, s, points):
+    """W^(s) at complex points by the offset-diagonal radial kernel.
+
+    The pointwise evaluation the package used before its separable
+    Hermite-basis kernel: for each point, the scaled Laguerre recurrence
+    over every kept diagonal, then the angular phases by Horner's rule.
+    """
+    from subplanck.phasespace import state_diagonals
+
+    def combine(sums, ds, unit):
+        # pairs (n+d, n) and (n, n+d) give 2 Re(A_d e^{-i d phi}); d = 0 once
+        total = 2.0 * _ref_phase_series(sums, ds, np.conj(unit)).real
+        return total - sums[0].real if ds[0] == 0 else total
+
+    acc = _ref_angular_accumulate(
+        state_diagonals(state), points, lambda ds, counts, r2: _ref_t_slabs(s, ds, counts, r2),
+        combine,
+    )
+    return acc.real / np.pi
+
+
+def ref_char_values(state, points):
+    """Characteristic function tr[rho D(mu)] by the offset-diagonal radial kernel."""
+    from subplanck.fock import _m_seq
+    from subplanck.phasespace import state_diagonals
+
+    def combine(sums, ds, unit):
+        # <n|D|n+d> carries (-1)^d e^{-id phi}, <n+d|D|n> carries e^{+id phi}
+        total = _ref_phase_series(sums, ds, -np.conj(unit)) + _ref_phase_series(
+            np.conj(sums), ds, unit
+        )
+        return total - sums[0] if ds[0] == 0 else total
+
+    return _ref_angular_accumulate(state_diagonals(state), points, _m_seq, combine)
+
+
+# ---------------------------------------------------------------------------
+# closed forms and helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def compass_slope_factor(a) -> float:
+    """(Delta x)^2 + (Delta p)^2 of the compass state, closed form."""
+    big_a = float(a) * float(a)
+    if big_a > 700.0:
+        return 1.0 + 2.0 * big_a
+    sh = 0.5 * (1.0 - np.exp(-2.0 * big_a))  # sinh(A) e^{-A}
+    ch = 0.5 * (1.0 + np.exp(-2.0 * big_a))
+    sn = np.sin(big_a) * np.exp(-big_a)
+    cn = np.cos(big_a) * np.exp(-big_a)
+    return 1.0 + 2.0 * big_a * (sh - sn) / (ch + cn)
+
+
+def random_avg_fidelity_series(dim, t) -> float:
+    """Literal terminating-hypergeometric double sum (log-domain terms).
+
+    Kept as a cross-check; accurate only for small dim because the series
+    alternates with large terms.
+    """
+    from scipy.special import gammaln
+
+    from subplanck.fidelity import as_t
+
+    t = as_t(t)
+    if t == 0:
+        return 1.0
+
+    def signed_pow(base, k):
+        if k == 0:
+            return 1.0
+        if base == 0.0:
+            return 0.0
+        return math.copysign(math.exp(k * math.log(abs(base))), base if k % 2 else 1.0)
+
+    x1 = 1.0 - t * t / 4.0
+    x2 = 4.0 - t * t
+    log_c = math.log1p(t / 2.0)
+    terms = []
+    for m in range(dim):
+        for n in range(dim):
+            for k in range(min(m, n) + 1):
+                logt = (
+                    gammaln(m + n - k + 1)
+                    - gammaln(m - k + 1)
+                    - gammaln(n - k + 1)
+                    - gammaln(k + 1)
+                    - (m + n + 1) * log_c
+                )
+                sign = -1.0 if k % 2 else 1.0
+                first = sign * signed_pow(x1, k)
+                # the sign alternation cancels against (1 - 4/t^2)^k < 0
+                second = signed_pow(x2, k) * math.exp(
+                    (m + n - 2 * k) * math.log(t) - (m + n) * math.log(2.0)
+                )
+                terms.append(math.exp(logt) * (first + second))
+    return math.fsum(terms) / (dim * (dim + 1))
+
+
+def quadrature_curve(state, ts, form=4, label=""):
+    """FidelityCurve of fidelity_quadrature(state, t, form) over ts."""
+    from subplanck.fidelity import FidelityCurve, fidelity_quadrature
+
+    f = np.array([fidelity_quadrature(state, t, form) for t in ts])
+    return FidelityCurve(np.asarray(ts, float), f, state=label, method=f"form{form}")
+
+
+def partial_trace_ancilla(joint, dim) -> np.ndarray:
+    """Trace out the (major-index) ancilla of a flattened joint pure state."""
+    psi = joint.coeffs.reshape(dim, dim)
+    return np.einsum("uv,uw->vw", psi, np.conj(psi))

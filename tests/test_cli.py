@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import subplanck.cli as cli_module
 from subplanck.cli import StateSpec, main
 
 
@@ -255,6 +256,51 @@ class TestEvolveCommand:
         x = rows[:, 0]
         psi2 = rows[:, 1] ** 2 + rows[:, 2] ** 2
         assert x[np.argmax(psi2)] == pytest.approx(-8.0, abs=0.05)
+
+
+    def test_convergence_reuses_unstrided_run(self, tmp_path, monkeypatch):
+        from subplanck.dynamics import EvolutionConfig, SpatialGrid, coherent_wavefunction, evolve_chaotic
+
+        argv = ["evolve", "--t-final", "0.02", "--dt", "0.0005",
+                "--grid-points", "512", "--grid-min", "-24", "--grid-max", "24", "--t-steps", "3"]
+        plain, conv = str(tmp_path / "plain"), str(tmp_path / "conv")
+        assert main(argv + ["--out-prefix", plain]) == 0
+        calls = []
+
+        def counting(psi, config):
+            calls.append(config.dt)
+            return evolve_chaotic(psi, config)
+
+        monkeypatch.setattr(cli_module, "evolve_chaotic", counting)
+        assert main(argv + ["--convergence", "--out-prefix", conv]) == 0
+        assert calls == [0.0005, 0.002, 0.001]  # the run at dt is not repeated
+        # the summary the four-run command wrote, byte for byte
+        grid = SpatialGrid(-24.0, 24.0, 512)
+        psi0 = coherent_wavefunction(-8.0, 4.0, grid)
+        runs = [evolve_chaotic(psi0, EvolutionConfig(dt=dt, t_final=0.02, grid=grid))
+                for dt in (0.002, 0.001, 0.0005)]
+        want = json.loads(open(plain + "_summary.json").read())
+        d1 = float(np.linalg.norm(runs[0].samples - runs[1].samples))
+        d2 = float(np.linalg.norm(runs[1].samples - runs[2].samples))
+        want.update(convergence_ratio=d1 / d2, convergence_base_dt=0.002)
+        text = json.dumps(want, indent=2, sort_keys=True) + "\n"
+        assert open(conv + "_summary.json").read() == text
+
+
+class TestWriteCsv:
+    def test_rows_match_per_value_format(self, tmp_path):
+        rows = [
+            (0, 1, -7, True),
+            (np.int64(3), np.int32(-2), np.uint8(255), np.int64(2**62)),
+            (0.0, -0.0, 5e-324, -2.2250738585072014e-308),
+            (float("nan"), float("inf"), float("-inf"), np.float64(-0.0)),
+            (np.float64(0.1), np.float32(0.1), 1 / 3, 1e300),
+            (1, 2.5, np.int64(4), np.float64(np.nan)),
+        ]
+        path = tmp_path / "rows.csv"
+        cli_module.write_csv(path, {"k": "v"}, ["a", "b", "c", "d"], rows)
+        want = ["# k=v", "# columns=a,b,c,d"] + [",".join(cli_module._fmt(v) for v in r) for r in rows]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestManifest:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import ref_fidelity_form4, ref_gauss_laguerre_scaled, two_level_fidelity
+from oracles import (
+    compass_slope_factor,
+    quadrature_curve,
+    random_avg_fidelity_series,
+    ref_fidelity_form4,
+    ref_gauss_laguerre_scaled,
+    two_level_fidelity,
+)
 
 from subplanck import (
     ComplexAmplitude,
@@ -28,7 +35,6 @@ from subplanck import (
     squeezed_fidelity,
 )
 import subplanck.fidelity as fidelity_module
-from subplanck.fidelity import compass_slope_factor, quadrature_curve, random_avg_fidelity_series
 from subplanck.quadrature import gauss_laguerre_scaled
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import partial_trace_ancilla
+
 import subplanck.fidelity as fidelity_module
 import subplanck.mixedstate as mixedstate_module
 from subplanck import (
@@ -23,7 +25,7 @@ from subplanck import (
     purify,
     wigner,
 )
-from subplanck.mixedstate import partial_trace_ancilla, sqrt_density
+from subplanck.mixedstate import sqrt_density
 
 
 def random_mixed(dim, seed):

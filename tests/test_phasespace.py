@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import gauss_hermite_2d, ref_char, ref_char_on_polar, ref_wigner_parity
+from oracles import (
+    gauss_hermite_2d,
+    ref_char,
+    ref_char_on_polar,
+    ref_char_values,
+    ref_squasi_values,
+    ref_wigner_parity,
+)
 
 import subplanck
 import subplanck.phasespace as phasespace_module
@@ -35,11 +42,14 @@ from subplanck import (
 from subplanck.phasespace import (
     PhaseGrid,
     char_on_polar,
+    char_values,
     fftconvolve,
     squasi_values,
     state_diagonals,
     wigner_values,
 )
+from subplanck.fock import hermite_functions
+from subplanck.protocol import average_channel
 from subplanck.quadrature import polar_rule
 
 
@@ -188,26 +198,124 @@ class TestSQuasidist:
             monkeypatch.undo()
             assert np.array_equal(whole, chunked)
 
-    def test_phase_power_table_within_chunk_bound(self, monkeypatch):
-        # (|0> + |40>)/sqrt 2 keeps only offsets {0, 40}: two slab rows per
-        # point, but 41 phase powers per point
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_hermite_tables_within_chunk_bound(self, monkeypatch, mixed):
+        # (|0> + |40>)/sqrt 2: support D = 41, so K = 81 Hermite orders on
+        # every coordinate and 41 on each rotated node
         coeffs = np.zeros(41)
         coeffs[[0, 40]] = 1.0
         st = subplanck.PureState(coeffs)
-        q = np.linspace(-3.0, 3.0, 31)
-        points = (q[:, None] + 1j * q[None, :]) / np.sqrt(2.0)
-        whole = squasi_values(st, -0.5, points)
-        tables, original = [], phasespace_module._unit_powers
+        st = st.density() if mixed else st
+        q = np.linspace(-3.0, 3.0, 200)
+        grid = (q[:, None] + 1j * q[None, :]) / np.sqrt(2.0)
+        scattered = np.random.default_rng(5).normal(size=1000) * (1.0 + 1.0j)
+        evals = [
+            lambda: squasi_values(st, -0.5, grid),
+            lambda: squasi_values(st, -0.5, scattered),
+            lambda: char_values(st, grid),
+        ]
+        whole = [f() for f in evals]
+        tables, functions, rows = [], phasespace_module.hermite_functions, phasespace_module.hermite_rows
 
-        def recording(z, count):
-            tables.append(z.size * count)
-            return original(z, count)
+        def recording_functions(x, count):
+            tables.append(x.size * count)
+            return functions(x, count)
 
-        monkeypatch.setattr(phasespace_module, "_unit_powers", recording)
-        monkeypatch.setattr(phasespace_module, "CHUNK_ELEMENTS", 41 * 16)
-        chunked = squasi_values(st, -0.5, points)
-        assert tables and max(tables) <= 41 * 16
-        assert np.array_equal(whole, chunked)
+        def recording_rows(x, count):
+            tables.append(x.size)
+            return rows(x, count)
+
+        monkeypatch.setattr(phasespace_module, "hermite_functions", recording_functions)
+        monkeypatch.setattr(phasespace_module, "hermite_rows", recording_rows)
+        monkeypatch.setattr(phasespace_module, "CHUNK_ELEMENTS", 81 * 128)
+        chunked = [f() for f in evals]
+        assert len(tables) > 3 * len(evals)  # tables were built in several passes
+        assert max(tables) <= 81 * 128
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+
+
+class TestHermiteKernel:
+    """The separable Hermite-basis kernel against the radial offset-diagonal oracle."""
+
+    @pytest.fixture(scope="class")
+    def states(self, catalog):
+        out = dict(catalog)
+        out["thermal"] = make_thermal(0.7, 40)
+        out["channel"] = average_channel(catalog["random20"], 0.5)
+        return out
+
+    @staticmethod
+    def points():
+        q = np.linspace(-4.0, 4.0, 41)
+        grid = (q[:, None] + 1j * q[None, :]) / np.sqrt(2.0)
+        scattered = np.random.default_rng(11).normal(scale=1.5, size=(7, 18)).view(complex)
+        return grid, scattered
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.125, -50.0])
+    def test_squasi_matches_radial_oracle(self, states, s):
+        for pts in self.points():
+            for name, st in states.items():
+                got, want = squasi_values(st, s, pts), ref_squasi_values(st, s, pts)
+                assert got.shape == pts.shape
+                assert np.max(np.abs(got - want)) <= 1e-13, name
+
+    def test_char_matches_radial_oracle(self, states):
+        for pts in self.points():
+            for name, st in states.items():
+                got, want = char_values(st, pts), ref_char_values(st, pts)
+                assert np.max(np.abs(got - want)) <= 1e-13, name
+
+    def test_large_support(self):
+        st = make_random(296, seed=5)
+        pts = np.random.default_rng(2).normal(scale=6.0, size=(20, 2)).view(complex)[:, 0]
+        for s in (0.0, -0.5, -2.125, -50.0):
+            assert np.max(np.abs(squasi_values(st, s, pts) - ref_squasi_values(st, s, pts))) <= 1e-12
+        assert np.max(np.abs(char_values(st, pts) - ref_char_values(st, pts))) <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -2.125])
+    def test_tensor_and_scattered_agree(self, states, s):
+        grid, _ = self.points()
+        order = np.random.default_rng(4).permutation(grid.size)
+        for name, st in states.items():
+            tensor = squasi_values(st, s, grid).ravel()[order]
+            scattered = squasi_values(st, s, grid.ravel()[order])
+            assert np.max(np.abs(tensor - scattered)) <= 1e-15, name
+
+    def test_zero_d_and_empty_points(self, catalog):
+        st = catalog["compass"]
+        a = np.array(0.3 + 0.2j)
+        assert squasi_values(st, -0.5, a).shape == ()
+        assert squasi_values(st, -0.5, a) == pytest.approx(ref_squasi_values(st, -0.5, a), abs=1e-14)
+        assert char_values(st, np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize("s", [-0.5, -1.0, -2.125])
+    def test_smoothing_matrix_is_gaussian_smoothing(self, s):
+        # per axis, h_j smoothed by a Gaussian of variance -s is sum_i T_ji h_i(sqrt(eta) z)
+        eta, order = 1.0 / (1.0 - s), 24
+        t_mat = phasespace_module._smoothing(s, order)
+        z1, z2 = 0.7, -1.3
+        scale = np.sqrt(-2.0 * s)
+        h1 = hermite_functions(np.array([np.sqrt(eta) * z1]), order)[:, 0]
+        h2 = hermite_functions(np.array([np.sqrt(eta) * z2]), order)[:, 0]
+        for j, k in ((0, 0), (3, 5), (10, 2), (23, 22)):
+
+            def product(q1, q2):
+                q1, q2 = np.broadcast_arrays(q1, q2)
+                a = hermite_functions((z1 - q1).ravel(), order)[j]
+                b = hermite_functions((z2 - q2).ravel(), order)[k]
+                return (a * b).reshape(q1.shape)
+
+            quad = gauss_hermite_2d(product, scale=scale) / (np.pi * scale**2)
+            assert quad == pytest.approx((t_mat[j] @ h1) * (t_mat[k] @ h2), abs=1e-13)
+
+    def test_smoothing_is_identity_at_s_zero_limit(self):
+        for s in (-0.0, -1e-300):
+            assert np.array_equal(phasespace_module._smoothing(s, 9), np.eye(9))
+
+    def test_positive_s_rejected(self, catalog):
+        with pytest.raises(ValueError):
+            squasi_values(catalog["vacuum"], 0.5, np.array(0.0j))
 
 
 class TestGrids:
