@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -38,6 +39,7 @@ from .fidelity import (
 from .fock import (
     ComplexAmplitude,
     DensityOp,
+    PureState,
     make_coherent,
     make_compass,
     make_number,
@@ -45,6 +47,7 @@ from .fock import (
     make_rng,
     make_squeezed,
     make_thermal,
+    quad_moments,
 )
 from .mixedstate import entanglement_fidelity, mixed_scale_report
 from .phasespace import (
@@ -75,14 +78,35 @@ class ValidationFailure(Exception):
 # state specification
 # ---------------------------------------------------------------------------
 
+def _chaotic_state(p, trunc):
+    cfg = EvolutionConfig(dt=p["dt"], t_final=p["t_final"])
+    psi = coherent_wavefunction(p["x0"], p["p0"], cfg.grid)
+    state, _ = wavefunction_to_fock(evolve_chaotic(psi, cfg), dim=trunc)
+    return state
+
+
+# kind -> (parameter defaults, builder(params, trunc), closed-form F(params, t) or None);
+# trunc is the --trunc override or None.  The random kind's closed form is the ensemble mean.
 STATE_KINDS = {
-    "coherent": {"nu1": 0.0, "nu2": 0.0},
-    "number": {"n": 0},
-    "squeezed": {"u": 0.0},
-    "compass": {"a": 1.0},
-    "random": {"dim": 16, "seed": 0},
-    "thermal": {"nbar": 1.0},
-    "chaotic": {"x0": -8.0, "p0": 4.0, "t_final": 5.0, "dt": 2.5e-4},
+    "coherent": ({"nu1": 0.0, "nu2": 0.0},
+                 lambda p, n: make_coherent(ComplexAmplitude(p["nu1"], p["nu2"]), n or 64),
+                 lambda p, t: coherent_fidelity(t)),
+    "number": ({"n": 0},
+               lambda p, n: make_number(p["n"], max(n or 64, p["n"] + 1)),
+               lambda p, t: number_fidelity(p["n"], t)),
+    "squeezed": ({"u": 0.0},
+                 lambda p, n: make_squeezed(p["u"], n or 64),
+                 lambda p, t: squeezed_fidelity(p["u"], t)),
+    "compass": ({"a": 1.0},
+                lambda p, n: make_compass(p["a"], n or 64),
+                lambda p, t: compass_fidelity(p["a"], t)),
+    "random": ({"dim": 16, "seed": 0},
+               lambda p, n: make_random(p["dim"], seed=p["seed"]),
+               lambda p, t: random_avg_fidelity(p["dim"], t)),
+    "thermal": ({"nbar": 1.0},
+                lambda p, n: make_thermal(p["nbar"], n or 64),
+                lambda p, t: 1.0 / (1.0 + (2.0 * p["nbar"] + 1.0) * t / 2.0)),
+    "chaotic": ({"x0": -8.0, "p0": 4.0, "t_final": 5.0, "dt": 2.5e-4}, _chaotic_state, None),
 }
 
 
@@ -100,7 +124,7 @@ class StateSpec:
             raise ValidationFailure(
                 f"unknown state kind {kind!r}; choose from {sorted(STATE_KINDS)}"
             )
-        params = dict(STATE_KINDS[kind])
+        params = dict(STATE_KINDS[kind][0])
         if rest:
             for item in rest.split(","):
                 key, _, val = item.partition("=")
@@ -118,42 +142,11 @@ class StateSpec:
         return f"{self.kind}:{inner}"
 
     def build(self):
-        p = self.params
-        dim = self.trunc or 64
-        if self.kind == "coherent":
-            return make_coherent(ComplexAmplitude(p["nu1"], p["nu2"]), dim)
-        if self.kind == "number":
-            return make_number(p["n"], max(dim, p["n"] + 1))
-        if self.kind == "squeezed":
-            return make_squeezed(p["u"], dim)
-        if self.kind == "compass":
-            return make_compass(p["a"], dim)
-        if self.kind == "random":
-            return make_random(p["dim"], seed=p["seed"])
-        if self.kind == "thermal":
-            return make_thermal(p["nbar"], dim)
-        if self.kind == "chaotic":
-            cfg = EvolutionConfig(dt=p["dt"], t_final=p["t_final"])
-            psi = coherent_wavefunction(p["x0"], p["p0"], cfg.grid)
-            state, _ = wavefunction_to_fock(evolve_chaotic(psi, cfg), dim=self.trunc)
-            return state
-        raise ValidationFailure(f"unhandled kind {self.kind}")
+        return STATE_KINDS[self.kind][1](self.params, self.trunc)
 
     def closed_form(self):
-        p = self.params
-        if self.kind == "coherent":
-            return coherent_fidelity
-        if self.kind == "number":
-            return lambda t: number_fidelity(p["n"], t)
-        if self.kind == "squeezed":
-            return lambda t: squeezed_fidelity(p["u"], t)
-        if self.kind == "compass":
-            return lambda t: compass_fidelity(p["a"], t)
-        if self.kind == "random":
-            return lambda t: random_avg_fidelity(p["dim"], t)  # ensemble mean
-        if self.kind == "thermal":
-            return lambda t: 1.0 / (1.0 + (2.0 * p["nbar"] + 1.0) * t / 2.0)
-        return None
+        fn = STATE_KINDS[self.kind][2]
+        return None if fn is None else lambda t: fn(self.params, t)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +197,6 @@ def write_state_csv(path, state, header=None):
 
 def read_state_csv(path):
     """Inverse of write_state_csv."""
-    from .fock import PureState
-
     rows = [
         [float(v) for v in line.split(",")]
         for line in open(path)
@@ -443,12 +434,8 @@ def cmd_evolve(args):
     state, leakage = wavefunction_to_fock(final, dim=args.trunc)
     write_state_csv(args.out_prefix + "_fock_state.csv", state,
                     header={"leakage": _fmt(leakage)})
-    import warnings as _w
-
-    from .fock import quad_moments
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         _, _, vx, vp = quad_moments(state)
     target = vx + vp
     cand = np.arange(1, 400)

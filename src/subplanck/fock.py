@@ -17,11 +17,14 @@ through log-gammas.  One private kernel, `_radial_slabs`, runs that
 recurrence along n for all requested offsets d and all points at once,
 yielding one slab R_n[d, point] per step (`_m_seq` is its Cahill-Glauber
 case); every radial sum in the package (displacement matrices, the
-characteristic function on polar nodes, the averaged channel, ensemble
-and entanglement fidelities) contracts those slabs, so a call costs as
-many Python steps as the longest diagonal it needs.  The Hermite
-functions (`hermite_rows`, `hermite_functions`) serve the position-space
-projection and the separable phase-space kernel of `phasespace`.
+characteristic function on polar nodes and the entanglement fidelities)
+contracts those slabs, so a call costs as many Python steps as the
+longest diagonal it needs.  The Hermite functions (`hermite_rows`,
+`hermite_functions`) serve the position-space projection and the
+separable phase-space kernel of `phasespace`.  The teleportation noise
+channel needs no radial sums: `_noise_kernel` gives the closed binomial
+matrices of its loss and gain stages, on which the averaged channel and
+the random-state ensemble average are finite sums.
 """
 
 import warnings
@@ -253,6 +256,30 @@ def _m_seq(ds, counts, x):
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0, np.log(x), -np.inf)
     yield from _radial_slabs(ds, counts, _log_start(ds, logx, x / 2), 1.0, x)
+
+
+def _noise_kernel(nbar, d, rows, cols):
+    """B_d[a, b] = sqrt(C(a+d, a-b) C(a, a-b)) eta^(b+d/2) (1-eta)^(a-b), a >= b, else 0.
+
+    Rows a < rows, columns b < cols <= rows, eta = 1/(1 + nbar).  On the
+    diagonal w[n] = rho_{n+d, n}, loss of transmissivity eta is
+    w -> B_d^T w and the quantum-limited amplifier of gain 1/eta is
+    w -> eta B_d w; together they add Gaussian noise of nbar quanta
+    (Caruso, Giovannetti & Holevo, New J. Phys. 8, 310 (2006)).  Formed
+    in the log domain from one log-factorial table (entries are positive).
+    """
+    a = np.arange(rows)[:, None]
+    b = np.arange(cols)[None, :]
+    j = np.maximum(a - b, 0)
+    lf = gammaln(np.arange(rows + d) + 1.0)
+    log_eta = -np.log1p(nbar)
+    log_b = (
+        0.5 * (lf[a + d] + lf[a] - lf[b + d] - lf[b])
+        - lf[j]
+        + (b + d / 2.0) * log_eta
+        + j * (np.log(nbar) + log_eta)
+    )
+    return np.where(a >= b, np.exp(log_b), 0.0)
 
 
 def _unit_powers(z, count):

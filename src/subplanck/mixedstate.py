@@ -25,7 +25,7 @@ from .fock import (
     displacement_matrix,
     quad_moments,
 )
-from .phasespace import state_diagonals
+from .phasespace import trimmed_support
 
 DOUBLED_SPACE_LIMIT = 32
 
@@ -115,7 +115,7 @@ def entanglement_fidelity(rho, t) -> float:
     t = as_t(t)
     if t == 0:
         return 1.0
-    support = max(d + w.size for d, w in state_diagonals(rho))
+    support = trimmed_support(rho)
     mat = rho.matrix[:support, :support]
     off_diag = np.max(np.abs(mat - np.diag(np.diagonal(mat))))
     if off_diag < 1e-14:

@@ -174,6 +174,11 @@ def state_diagonals(state, noise_floor=1e-18):
     return out
 
 
+def trimmed_support(state) -> int:
+    """D = 1 + the highest Fock index that the trimmed diagonals keep."""
+    return max(d + w.size for d, w in state_diagonals(state))
+
+
 def _radial_sums(diags, slabs, npts):
     """A[i] = sum_n w_i[n] R_n[d_i] for diags [(d_i, w_i)], from one kernel pass.
 
@@ -327,7 +332,7 @@ def _coefficient_matrix(state):
     density at the rotated nodes and w_a = 1 / sum_j h_j(u_a)^2.  Returns a
     real K x K matrix.
     """
-    dim = max(d + w.size for d, w in state_diagonals(state))
+    dim = trimmed_support(state)
     k = 2 * dim - 1
     u = roots_hermite(k)[0]
     u = (u - u[::-1]) / 2.0  # exactly antisymmetric
@@ -419,32 +424,23 @@ def char_on_polar(state, x, theta):
     return out.T
 
 
-def husimi_amplitudes(state, points):
-    """<alpha|psi> (pure) or <alpha|rho|alpha> (mixed) via coherent overlaps."""
+def husimi_values(state, points):
+    """Q = <alpha|rho|alpha>/pi: |<alpha|psi>|^2/pi for a pure state, W^(-1) for a mixed one.
+
+    The pure form, by coherent overlaps, gives exact zeros where the
+    overlap vanishes; a mixed state takes the s = -1 kernel.
+    """
+    if not isinstance(state, PureState):
+        return squasi_values(state, -1.0, points)
     pts = np.asarray(points, dtype=complex)
-    dim = state.dim
     # g_n = <n|alpha> by the bounded recurrence g_{n+1} = g_n alpha / sqrt(n+1)
     g = np.exp(-np.abs(pts) ** 2 / 2).astype(complex)
-    if isinstance(state, PureState):
-        acc = np.zeros(pts.shape, dtype=complex)
-        for n in range(dim):
-            acc += state.coeffs[n] * np.conj(g)
-            if n + 1 < dim:
-                g = g * pts / np.sqrt(n + 1)
-        return acc
-    # mixed: sum_{mn} conj(g_m) rho_{mn} g_n
-    gs = np.empty((dim,) + pts.shape, dtype=complex)
-    for n in range(dim):
-        gs[n] = g
-        if n + 1 < dim:
+    acc = np.zeros(pts.shape, dtype=complex)
+    for n in range(state.dim):
+        acc += state.coeffs[n] * np.conj(g)
+        if n + 1 < state.dim:
             g = g * pts / np.sqrt(n + 1)
-    return np.einsum("m...,mn,n...->...", np.conj(gs), state.matrix, gs)
-
-
-def husimi_values(state, points):
-    if isinstance(state, PureState):
-        return np.abs(husimi_amplitudes(state, points)) ** 2 / np.pi
-    return husimi_amplitudes(state, points).real / np.pi
+    return np.abs(acc) ** 2 / np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The squeezed-resource teleportation protocol at the Wigner level.
 
-The average channel is applied in characteristic-function space, where
-it is an exact multiplication by e^{-t |mu|^2 / 2}, and the output
-density matrix is reconstructed by radial-angular quadrature that is
-exact for truncated states.  Alice's outcome density is the input
+The average channel multiplies the characteristic function by
+e^{-t |mu|^2 / 2}: additive Gaussian noise, which is pure loss followed
+by a quantum-limited amplifier.  Both stages have closed binomial forms,
+so the output density matrix is built exactly, two matrix-vector
+products per diagonal offset, in the smallest truncation (at least the
+input's) that holds all but 1e-15 of its trace.  Alice's outcome density is the input
 Wigner function smoothed by her reduced resource mode, which is exactly
 the s-ordered quasidistribution W^(s_t) with s_t = -(1 + t^2/4)/t, so
 both pointwise values and the sampler's grid come from the closed
@@ -22,31 +24,33 @@ unity-gain output T(xi)|psi> (Hofmann et al., Phys. Rev. A 62, 062304
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
-from .errors import ConditioningError, SamplingError, TruncationError
+from .errors import ConditioningError, SamplingError
 from .fidelity import as_t
 from .fock import (
     ComplexAmplitude,
     DensityOp,
     PureState,
     _as_complex,
-    _m_seq,
+    _noise_kernel,
     quad_moments,
 )
 from .phasespace import (
     CHUNK_ELEMENTS,
     PhaseGrid,
-    char_on_polar,
     fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
     squasi_values,
+    state_diagonals,
     wigner_values,
 )
-from .quadrature import radial_rule
 
 # Half-width of the sampler grid in standard deviations of p(xi).
 DENSITY_GRID_SIGMAS = 6.0
 # Gaussian kernel entries below e^_LOG_FLOOR = 1e-100 are stored as zeros.
 _LOG_FLOOR = np.log(1e-100)
+# Largest probability the averaged channel's output truncation may cut off.
+_CHANNEL_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -103,70 +107,50 @@ def p_tilde(t, mu) -> float:
 # average channel
 # ---------------------------------------------------------------------------
 
-def _channel_pad(dim, t):
-    return int(np.ceil(8.0 * np.sqrt(0.5 * t * (dim + 1)) + 4.0 * t + 24.0))
-
-
-def _effective_dim(state) -> int:
-    if isinstance(state, PureState):
-        alive = np.nonzero(np.abs(state.coeffs) > 1e-14)[0]
-    else:
-        alive = np.nonzero(np.real(np.diagonal(state.matrix)) > 1e-27)[0]
-    return int(alive[-1]) + 1 if alive.size else 1
-
-
-def average_channel(state, t, out_dim=None) -> DensityOp:
+def average_channel(state, t) -> DensityOp:
     """Outcome-averaged output state: Phi_out(mu) = e^{-t|mu|^2/2} Phi_in(mu).
 
-    The multiplication law is exact; the matrix is rebuilt from the
-    damped characteristic function by quadrature that is exact for the
-    truncated input, in an enlarged truncation sized for the added
-    thermal noise.  A nonnegligible top-level occupation means the
-    chosen truncation cannot hold the output and raises; the trace is
-    allowed quadrature-roundoff slack before renormalization.
+    That multiplication is additive Gaussian noise of t/2 quanta, which
+    is pure loss of transmissivity eta = 1/(1 + t/2) followed by a
+    quantum-limited amplifier of gain 1/eta; `_reconstruct_damped` applies
+    both stages exactly by their binomial matrices and sizes the output
+    from the amplifier's negative-binomial tail, and the result is
+    divided by its trace (1 minus that tail, at most 1e-15 short).
     """
     t = as_t(t)
-    rho_in = state.density() if isinstance(state, PureState) else state
     if t == 0:
-        return rho_in
-    n_in = _effective_dim(state)
-    attempts = 0
-    n_out = out_dim if out_dim is not None else n_in + _channel_pad(n_in, t)
-    while True:
-        rho = _reconstruct_damped(state, t, n_in, n_out)
-        tr = float(np.real(np.trace(rho)))
-        tail = float(np.real(rho[-1, -1]))
-        if abs(tr - 1.0) <= 1e-8 and tail <= 1e-12:
-            rho /= tr
-            return DensityOp(rho)
-        attempts += 1
-        if out_dim is not None or attempts > 1:
-            raise TruncationError(
-                f"average_channel output leaks past dim {n_out} "
-                f"(trace deficit {1 - tr:.3e}, top level {tail:.3e})",
-                tail=max(1.0 - tr, tail),
-            )
-        n_out = int(1.5 * n_out) + 8
+        return state.density() if isinstance(state, PureState) else state
+    rho = _reconstruct_damped(state, t)
+    return DensityOp(rho / np.real(np.trace(rho)))
 
 
-def _reconstruct_damped(state, t, n_in, n_out):
-    c = 1.0 + t / 2.0
-    # radial polynomial degree <= n_in + n_out, angular harmonics likewise
-    n_rad = (n_in + n_out) // 2 + 4
-    n_ang = 2 * (n_in + n_out) + 4
-    x, wx = radial_rule(c, n_rad)
-    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    damped = np.exp(-t * x / 2.0)[:, None] * char_on_polar(state, x, theta)
-    ghat = np.fft.fft(damped, axis=1) / n_ang  # ghat[:, q] = (1/2pi) int G e^{-iq theta}
-    ds = np.arange(n_out)
-    # rho[n+d, n] = (-1)^d sum_j wx_j M_n^(d)(x_j) ghat[j, -d]
-    g = (wx[:, None] * ghat[:, (-ds) % n_ang]).T * ((-1.0) ** ds)[:, None]
+def _reconstruct_damped(state, t):
+    """Output matrix of the averaged channel, before normalization.
+
+    Each offset-d diagonal w[n] = rho_{n+d, n} of the trimmed input goes
+    through two matrix-vector products, loss w -> B_d^T w and gain
+    w -> eta B_d w (`_noise_kernel`).  The gain sends |m> to m + k with
+    k ~ NegBin(m + 1, eta), so the mass it moves past n_out is
+    sum_m p_m I_{1-eta}(n_out - m, m + 1) for the populations p after
+    loss; n_out is the smallest size, and no smaller than the input's,
+    for which that mass is at most _CHANNEL_TAIL.
+    """
+    nbar = t / 2.0
+    eta = 1.0 / (1.0 + nbar)
+    diags = state_diagonals(state)
+    w0 = np.real(diags[0][1])
+    pops = _noise_kernel(nbar, 0, w0.size, w0.size).T @ w0
+    m = np.arange(pops.size)
+    n_out = state.dim
+    while pops @ betainc(n_out - m, m + 1, nbar * eta) > _CHANNEL_TAIL:
+        n_out += 1
     rho = np.zeros((n_out, n_out), dtype=complex)
-    for n, slab in enumerate(_m_seq(ds, n_out - ds, x)):
-        k = slab.shape[0]
-        vals = np.einsum("dj,dj->d", g[:k], slab)
-        rho[n + ds[:k], n] = vals
-        rho[n, n + ds[1:k]] = np.conj(vals[1:])
+    for d, w in diags:
+        kern = _noise_kernel(nbar, d, n_out - d, w.size)
+        out = eta * (kern @ (kern[: w.size].T @ w))
+        n = np.arange(out.size)
+        rho[n + d, n] = out
+        rho[n, n + d] = np.conj(out)
     return rho
 
 

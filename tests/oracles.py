@@ -446,6 +446,27 @@ def random_avg_fidelity_series(dim, t) -> float:
     return math.fsum(terms) / (dim * (dim + 1))
 
 
+def random_avg_fidelity_mp(dim, t, digits=40) -> float:
+    """The terminating double series of random_avg_fidelity_series in mpmath.
+
+    At 40 digits the alternating terms cancel without loss at the double
+    precision the result is rounded to.
+    """
+    with mpmath.workdps(digits):
+        t = mpmath.mpf(t)
+        x1 = 1 - t * t / 4
+        x2 = 4 - t * t
+        base = 1 + t / 2
+        total = mpmath.mpf(0)
+        for m in range(dim):
+            for n in range(dim):
+                for k in range(min(m, n) + 1):
+                    coeff = math.comb(m + n - k, k) * math.comb(m + n - 2 * k, m - k)
+                    term = (-x1) ** k + x2**k * t ** (m + n - 2 * k) / mpmath.mpf(2) ** (m + n)
+                    total += coeff * term / base ** (m + n + 1)
+        return float(total / (dim * (dim + 1)))
+
+
 def quadrature_curve(state, ts, form=4, label=""):
     """FidelityCurve of fidelity_quadrature(state, t, form) over ts."""
     from subplanck.fidelity import FidelityCurve, fidelity_quadrature

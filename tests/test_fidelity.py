@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     compass_slope_factor,
     quadrature_curve,
+    random_avg_fidelity_mp,
     random_avg_fidelity_series,
     ref_fidelity_form4,
     ref_gauss_laguerre_scaled,
@@ -226,6 +227,11 @@ class TestRandomEnsemble:
                 assert random_avg_fidelity(dim, t) == pytest.approx(
                     random_avg_fidelity_series(dim, t), abs=tol
                 )
+
+    def test_binomial_form_matches_mpmath_series(self):
+        for dim in (1, 2, 5, 20):
+            for t in (0.2, 1.0, 2.0):
+                assert abs(random_avg_fidelity(dim, t) - random_avg_fidelity_mp(dim, t)) <= 1e-15
 
     def test_slope_values(self):
         assert random_slope_avg(1) == -0.5

@@ -144,6 +144,13 @@ class TestHusimi:
         for n in (1, 2, 4):
             assert husimi(make_number(n, 8), ComplexAmplitude(0, 0)) == 0.0
 
+    def test_thermal_closed_form(self):
+        nbar = 1.0
+        grid = square_grid(6.0, 64)
+        q = husimi_grid(make_thermal(nbar, 64), grid).values
+        want = np.exp(-np.abs(grid.points()) ** 2 / (1 + nbar)) / (np.pi * (1 + nbar))
+        assert np.max(np.abs(q - want)) <= 1e-15
+
     def test_bounds(self, catalog):
         for st in catalog.values():
             q = husimi_grid(st, default_grid(st, resolution=96))

@@ -146,6 +146,58 @@ class TestAverageChannel:
             rho = average_channel(state, t)
             assert channel_fidelity(state, rho) == pytest.approx(closed, abs=1e-5)
 
+    @pytest.mark.parametrize("t", [0.02, 0.5, 1.0, 2.0, 5.0])
+    def test_exact_against_closed_forms(self, t):
+        from subplanck import make_squeezed, number_fidelity, squeezed_fidelity
+        from subplanck.fidelity import coherent_fidelity
+
+        cases = [
+            (make_coherent(ComplexAmplitude(1.0, 0.5), 48), coherent_fidelity(t)),
+            (make_compass(2.0, 48), compass_fidelity(2.0, t)),
+            (make_number(3, 8), number_fidelity(3, t)),
+            (make_squeezed(0.6, 64), squeezed_fidelity(0.6, t)),
+        ]
+        for state, closed in cases:
+            rho = average_channel(state, t)
+            assert abs(channel_fidelity(state, rho) - closed) <= 1e-13
+            assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-15
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_thermal_stays_thermal(self, t):
+        from subplanck import make_thermal
+
+        rho = average_channel(make_thermal(0.5, 64), t)
+        ref = make_thermal(0.5 + t / 2, rho.dim)
+        assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [12.0, 20.0])
+    def test_strong_noise_is_sized_not_refused(self, t):
+        from subplanck import number_fidelity
+
+        state = make_number(3, 8)
+        rho = average_channel(state, t)
+        assert abs(channel_fidelity(state, rho) - number_fidelity(3, t)) <= 1e-12
+
+    def test_output_size_is_the_smallest_exact_bound(self):
+        # vacuum in, thermal nbar = t/2 out: the mass at and above level n is q^n
+        for t in (0.5, 2.0, 20.0):
+            q = (t / 2) / (1 + t / 2)
+            rho = average_channel(make_number(0, 1), t)
+            assert q**rho.dim <= 1e-15 < q ** (rho.dim - 1)
+
+    def test_one_build_per_channel(self, coh, monkeypatch):
+        calls = []
+        build = protocol._reconstruct_damped
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocol, "_reconstruct_damped", counting)
+        for t in (0.02, 1.0, 20.0):
+            average_channel(coh, t)
+        assert len(calls) == 3
+
     def test_displaced_quadrature_oracle(self):
         st = make_number(2, 8)
         rho = average_channel(st, 0.7)
