@@ -131,9 +131,15 @@ class StateSpec:
                 key = key.strip()
                 if key not in params:
                     raise ValidationFailure(f"unknown parameter {key!r} for {kind}")
-                params[key] = type(params[key])(float(val)) if not isinstance(
-                    params[key], int
-                ) else int(float(val))
+                try:
+                    num = float(val)
+                except ValueError:
+                    raise ValidationFailure(f"{kind}:{key} needs a number, got {val!r}") from None
+                if isinstance(params[key], int):
+                    if not num.is_integer():
+                        raise ValidationFailure(f"{kind}:{key} must be an integer, got {val!r}")
+                    num = int(num)
+                params[key] = num
         return cls(kind, params, trunc)
 
     @property
@@ -493,7 +499,6 @@ def _config_dict(args):
 
 
 def _add_common(p):
-    p.add_argument("--trunc", type=int, default=None, help="Fock truncation override")
     p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
     p.add_argument("--config", default=None, help="JSON file of flag defaults (flags win)")
 
@@ -567,39 +572,51 @@ def build_parser():
     p.add_argument("--out-prefix", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_evolve)
+    for name in ("fidelity-curve", "scales", "grid", "teleport-mc", "evolve"):  # they build states
+        sub.choices[name].add_argument("--trunc", type=int, default=None,
+                                       help="Fock truncation override")
     return ap
+
+
+def _config_flags(path):
+    """Flags from a --config JSON file of flag values (or a run manifest's config)."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationFailure(f"cannot read --config {path!r}: {exc}") from None
+    cfg = doc.get("config", doc) if isinstance(doc, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValidationFailure(f"--config {path!r} holds no JSON object of flags")
+    pre = []
+    for key, val in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if key in ("command", "func", "out", "manifest") or val is None:
+            continue
+        if isinstance(val, bool):
+            if val:
+                pre.append(flag)
+            continue
+        pre.extend([flag, str(val)])
+    return pre
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    # --config provides defaults; explicit flags win
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        with open(argv[idx + 1]) as fh:
-            doc = json.load(fh)
-        cfg = doc.get("config", doc)
-        pre = []
-        for key, val in cfg.items():
-            flag = "--" + key.replace("_", "-")
-            if key in ("command", "func", "out", "manifest") or val is None:
-                continue
-            if isinstance(val, bool):
-                if val:
-                    pre.append(flag)
-                continue
-            pre.extend([flag, str(val)])
-        argv = argv[:1] + pre + argv[1:]
     try:
+        if "--config" in argv:  # the file's flags are defaults; explicit flags win
+            idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                raise ValidationFailure("--config needs a JSON file")
+            argv = argv[:1] + _config_flags(argv[idx + 1]) + argv[1:]
         args = ap.parse_args(argv)
         return args.func(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (QuadratureError, GridResolutionError, SamplingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SubplanckError as exc:
+    except (ValidationFailure, SubplanckError, ValueError) as exc:
+        # the library raises ValueError for out-of-range arguments, here from flag values
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,8 @@ QUARTIC_COEFF = 0.05
 DRIVE_FREQ = 2.0 * np.pi
 
 EDGE_TOL = 1e-12
+# wavefunction_to_fock: largest norm lost to the truncation, and its size cap.
+LEAK_TOL, MAX_FOCK_DIM = 1e-3, 1024
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,11 @@ def coherent_wavefunction(x0, p0, grid: SpatialGrid = SpatialGrid()) -> WaveFunc
 
 
 def split_step_evolve(psi: WaveFunction, kinetic_coeff, potential_fn,
-                      config: EvolutionConfig, t0=0.0, check_edges=True) -> WaveFunction:
-    """Strang-split evolution under kinetic_coeff * p^2 + potential_fn(x, tau)."""
+                      config: EvolutionConfig, t0=0.0) -> WaveFunction:
+    """Strang-split evolution under kinetic_coeff * p^2 + potential_fn(x, tau).
+
+    An edge sample's density above 1e-10 after any step raises BoundaryLeakError.
+    """
     grid = SpatialGrid(psi.x_min, psi.x_min + psi.dx * psi.n_points, psi.n_points)
     dt, n_steps = config.dt, config.n_steps
     cur = psi.samples.astype(complex)
@@ -162,13 +167,11 @@ def split_step_evolve(psi: WaveFunction, kinetic_coeff, potential_fn,
         spectrum *= kin
         cur = ifft(spectrum, overwrite_x=True)
         cur *= kick
-        if check_edges:
-            edge = max(abs(cur[0]) ** 2, abs(cur[-1]) ** 2)
-            if edge > 1e-10:
-                raise BoundaryLeakError(
-                    f"edge density {edge:.3e} at tau = {t0 + (n + 1) * dt:.4f}; "
-                    "enlarge the grid"
-                )
+        edge = max(abs(cur[0]) ** 2, abs(cur[-1]) ** 2)
+        if edge > 1e-10:
+            raise BoundaryLeakError(
+                f"edge density {edge:.3e} at tau = {t0 + (n + 1) * dt:.4f}; enlarge the grid"
+            )
     return WaveFunction(cur, psi.x_min, psi.dx)
 
 
@@ -233,20 +236,20 @@ def hermite_functions(x, n_max):
     return fock.hermite_functions(x, n_max)
 
 
-def suggest_fock_dim(psi: WaveFunction, sigmas=6.0) -> int:
+def suggest_fock_dim(psi: WaveFunction) -> int:
     mx, mp, mx2, mp2 = psi.moments()
     mean_n = max(0.0, (mx2 + mp2 - 1.0) / 2.0)
-    return int(np.ceil(mean_n + sigmas * np.sqrt(mean_n + 1.0) + 10))
+    return int(np.ceil(mean_n + 6.0 * np.sqrt(mean_n + 1.0) + 10))
 
 
-def wavefunction_to_fock(psi: WaveFunction, dim=None, leak_tol=1e-3, max_dim=1024):
+def wavefunction_to_fock(psi: WaveFunction, dim=None):
     """Project onto number states; returns (state, leakage).
 
     Leakage is the squared norm lost to levels >= dim; exceeding
-    leak_tol raises instead of silently renormalizing it away.  With
-    dim=None the truncation grows (moment-based start) until leakage is
-    within tolerance: far-from-Gaussian states occupy number levels well
-    past their mean occupation.
+    LEAK_TOL raises instead of silently renormalizing it away.  With
+    dim=None the truncation grows (moment-based start, at most
+    MAX_FOCK_DIM) until leakage is within tolerance: far-from-Gaussian
+    states occupy number levels well past their mean occupation.
     """
     auto = dim is None
     if auto:
@@ -259,14 +262,14 @@ def wavefunction_to_fock(psi: WaveFunction, dim=None, leak_tol=1e-3, max_dim=102
         coeffs = (basis @ samples.real + 1j * (basis @ samples.imag)) * psi.dx
         captured = float(np.sum(np.abs(coeffs) ** 2)) / psi.norm2
         leakage = 1.0 - captured
-        if leakage <= leak_tol:
+        if leakage <= LEAK_TOL:
             return PureState(coeffs), leakage
-        if not auto or dim >= max_dim:
+        if not auto or dim >= MAX_FOCK_DIM:
             raise LeakageError(
-                f"projection onto {dim} levels leaks {leakage:.3e} > {leak_tol:.0e}",
+                f"projection onto {dim} levels leaks {leakage:.3e} > {LEAK_TOL:.0e}",
                 leakage=leakage,
             )
-        dim = min(max_dim, int(1.4 * dim) + 16)
+        dim = min(MAX_FOCK_DIM, int(1.4 * dim) + 16)
 
 
 def fock_to_wavefunction(state: PureState, grid: SpatialGrid) -> WaveFunction:

@@ -68,7 +68,7 @@ class FidelityCurve:
     state: str = ""
     method: str = ""
 
-    def validate(self, convexity_tol=1e-8):
+    def validate(self):
         t, f = np.asarray(self.t, float), np.asarray(self.f, float)
         if np.any(np.diff(t) <= 0):
             raise ValueError("t samples must be strictly increasing")
@@ -79,7 +79,7 @@ class FidelityCurve:
         if t.size >= 3:
             h = np.diff(t)
             second = np.diff(np.diff(f) / h) / ((h[:-1] + h[1:]) / 2)
-            if np.any(second < -convexity_tol):
+            if np.any(second < -1e-8):
                 raise ValueError("curve violates convexity")
         return self
 
@@ -108,7 +108,7 @@ class ScaleReport:
 # quadrature forms
 # ---------------------------------------------------------------------------
 
-def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol=1e-8):
+def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean):
     """prefactor * int (d2mu/pi) damping(x) f(mu), x = |mu|^2, sized from the support.
 
     `angular_mean(x, theta, wtheta)` returns the angular average of f on
@@ -122,7 +122,7 @@ def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol
     |k| <= 2(D-1); D radial and 2D-1 angular nodes integrate it exactly,
     and the estimate comes from that rule.  A rule one radial and two
     angular nodes larger cross-checks it: if the two differ by more than
-    `rtol` (relative, floored at 1), QuadratureError is raised.
+    1e-8 (relative, floored at 1), QuadratureError is raised.
     """
     support = trimmed_support(state)
     est = []
@@ -130,40 +130,36 @@ def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol
         x, theta, wx, wt = polar_rule(decay, n_rad, n_ang)
         radial = angular_mean(x, theta, wt)
         est.append(prefactor * float(np.sum(wx * damping(x) * radial)))
-    if abs(est[1] - est[0]) > rtol * max(1.0, abs(est[0])):
+    if abs(est[1] - est[0]) > 1e-8 * max(1.0, abs(est[0])):
         raise QuadratureError(
             f"polar quadrature estimates disagree: {est[0]!r} vs {est[1]!r}"
         )
     return est[0]
 
 
-def _char_sq_quadrature(state, decay, damping, prefactor, rtol=1e-8):
+def _char_sq_quadrature(state, decay, damping, prefactor):
     """prefactor * int (d2mu/pi) damping(x) |Phi|^2, x = |mu|^2 (see above)."""
 
     def angular_mean(x, theta, wt):
         phi = char_on_polar(state, x, theta)
         return np.sum(np.abs(phi) ** 2 * wt[None, :], axis=1)
 
-    return _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean, rtol)
+    return _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean)
 
 
-def _grid_pair_form(state, t, form, resolution=256, rtol=2e-5):
+def _grid_pair_form(state, t, form):
+    """Form 2 or 3 on the 256^2 default Wigner grid, cross-checked at 512^2 to 2e-5."""
     if form == 2:
         kern = lambda d1, d2: np.exp(-t * (d1**2 + d2**2) / 4.0)
     else:
         kern = lambda d1, d2: (2.0 / t) * np.exp(-(d1**2 + d2**2) / t)
-    prev = None
-    for res in (resolution, 2 * resolution):
-        w = cached_default_wigner(state, resolution=res)
-        est = gaussian_pair_integral(w, kern)
-        if prev is not None:
-            if abs(est - prev) <= rtol * max(1.0, abs(est)):
-                return est
-            raise GridResolutionError(
-                f"form-{form} grid estimates disagree: {prev!r} vs {est!r}"
-            )
-        prev = est
-    return prev
+    coarse, fine = (
+        gaussian_pair_integral(cached_default_wigner(state, resolution=res), kern)
+        for res in (256, 512)
+    )
+    if abs(fine - coarse) > 2e-5 * max(1.0, abs(fine)):
+        raise GridResolutionError(f"form-{form} grid estimates disagree: {coarse!r} vs {fine!r}")
+    return fine
 
 
 def fidelity_quadrature(state, t, form=4):
@@ -184,9 +180,9 @@ def fidelity_quadrature(state, t, form=4):
     raise ValueError("form must be 1, 2, 3 or 4")
 
 
-def classical_fidelity(state, resolution=256) -> float:
-    """t = 2 fidelity as pi int d2xi Q^2 (heterodyne + coherent resend)."""
-    q = husimi_grid(state, default_grid(state, resolution=resolution))
+def classical_fidelity(state) -> float:
+    """t = 2 fidelity as pi int d2xi Q^2 (heterodyne + coherent resend), on default_grid."""
+    q = husimi_grid(state, default_grid(state))
     return float(np.pi * np.sum(q.values**2) * q.cell_measure)
 
 
@@ -314,7 +310,7 @@ def _slope_gradient(state, resolution):
     return -np.pi / 8.0 * float(np.sum(gx**2 + gy**2)) * h1 * h2
 
 
-def slope_at_zero(state, route="variance", resolution=512) -> float:
+def slope_at_zero(state, route="variance") -> float:
     """dF/dt at t = 0, by quadrature variances or the Wigner-gradient integral."""
     _, _, vx, vp = quad_moments(state)
     variance_value = -(vx + vp) / 2.0
@@ -322,12 +318,10 @@ def slope_at_zero(state, route="variance", resolution=512) -> float:
         return variance_value
     if route != "gradient":
         raise ValueError("route must be 'variance' or 'gradient'")
-    est = _slope_gradient(state, resolution)
-    if abs(est - variance_value) <= 1e-3 * abs(variance_value):
-        return est
-    est = _slope_gradient(state, 2 * resolution)
-    if abs(est - variance_value) <= 1e-3 * abs(variance_value):
-        return est
+    for resolution in (512, 1024):
+        est = _slope_gradient(state, resolution)
+        if abs(est - variance_value) <= 1e-3 * abs(variance_value):
+            return est
     raise GridResolutionError(
         f"gradient-route slope {est!r} disagrees with variance route {variance_value!r}"
     )

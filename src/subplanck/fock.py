@@ -13,13 +13,12 @@ Displacement matrix elements <m|D(mu)|n> are evaluated through scaled
 generalized-Laguerre recurrences whose iterates are the matrix elements
 themselves (magnitude <= 1), so they neither overflow nor underflow for
 any truncation or displacement used here; factorial ratios enter only
-through log-gammas.  One private kernel, `_radial_slabs`, runs that
+through log-gammas.  One private kernel, `_m_seq`, runs that
 recurrence along n for all requested offsets d and all points at once,
-yielding one slab R_n[d, point] per step (`_m_seq` is its Cahill-Glauber
-case); every radial sum in the package (displacement matrices, the
-characteristic function on polar nodes and the entanglement fidelities)
-contracts those slabs, so a call costs as many Python steps as the
-longest diagonal it needs.  The Hermite functions (`hermite_rows`,
+yielding one slab M_n[d, point] per step; every radial sum in the
+package (displacement matrices, the characteristic function on polar
+nodes and the entanglement fidelities) contracts those slabs, so a call
+costs as many Python steps as the longest diagonal it needs.  The Hermite functions (`hermite_rows`,
 `hermite_functions`) serve the position-space projection and the
 separable phase-space kernel of `phasespace`.  The teleportation noise
 channel needs no radial sums: `_noise_kernel` gives the closed binomial
@@ -198,64 +197,43 @@ class ThermalParams:
 # displacement matrix elements
 # ---------------------------------------------------------------------------
 
-def _log_start(ds, log_y, decay):
-    """Rows exp(d log(y) / 2 - log(d!) / 2 - decay), one per offset in ds.
+def _m_seq(ds, counts, x):
+    """Slabs M_n[d, point] of M_n^(d)(x) = sqrt(n!/(n+d)!) x^(d/2) e^(-x/2) L_n^(d)(x).
 
-    The first iterate of the radial kernel, formed in the log domain so
-    large offsets and far points underflow cleanly to 0; row d = 0 is
-    exp(-decay) also where y = 0 (log_y = -inf).
+    These are the magnitudes of <n|D(mu)|n+d> at x = |mu|^2, bounded by 1
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), by the scaled
+    generalized-Laguerre recurrence along n, vectorized over offsets ds
+    and the 1-D points x:
+
+        M_{n+1} = ((2n+1+d - x) M_n - sqrt(n (n+d)) M_{n-1}) / sqrt((n+1) (n+1+d)).
+
+    Yields M_n, n = 0 .. counts[0] - 1.  `counts` (iterates wanted per
+    offset) must be nonincreasing: M_n holds only the leading rows with
+    counts > n, so a call costs counts[0] Python steps.  The slabs are
+    read-only.
     """
-    ds = np.asarray(ds)[:, None]
-    with np.errstate(invalid="ignore"):
-        power = np.where(ds > 0, 0.5 * ds * log_y, 0.0)
-    return np.exp(power - 0.5 * gammaln(ds + 1) - decay)
-
-
-def _radial_slabs(ds, counts, start, sig, sig_y):
-    """Scaled generalized-Laguerre recurrence along n, vectorized over offsets and points.
-
-    Yields the slabs R_n, n = 0 .. counts[0] - 1, where row i of R_n is the
-    n-th iterate for offset d = ds[i] over the 1-D point array sig_y:
-
-        R_{n+1} = ((sig (2n+1+d) - sig_y) R_n - sig^2 sqrt(n (n+d)) R_{n-1})
-                  / sqrt((n+1) (n+1+d)),     R_0 = start, R_{-1} = 0.
-
-    With sig = 1 and sig_y = x the iterates are the displacement elements
-    M_n^(d)(x) (see `_m_seq`); phasespace drives the s-ordered kernel
-    through the same recurrence.  `counts` (iterates wanted per row) must
-    be nonincreasing: R_n holds only the leading rows with counts > n, so a
-    call costs counts[0] Python steps.  The slabs are read-only.
-    """
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(ds, dtype=float)[:, None]
     counts = np.asarray(counts)
     steps = int(counts[0]) if counts.size else 0
     active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
-    d = np.asarray(ds, dtype=float)[:, None]
-    sig2 = sig * sig
-    cur, prev = start, np.zeros_like(start)
+    # M_0 = x^(d/2) e^(-x/2) / sqrt(d!) in the log domain, so large offsets and
+    # far points underflow cleanly to 0; row d = 0 is e^(-x/2) also at x = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(d > 0, 0.5 * d * np.where(x > 0, np.log(x), -np.inf), 0.0)
+    cur = np.exp(power - 0.5 * gammaln(d + 1) - x / 2)
+    prev = np.zeros_like(cur)
     for n in range(steps):
         k = active[n]
         cur, prev = cur[:k], prev[:k]
         if n:
             m, dk = n - 1, d[:k]
-            nxt = np.subtract(sig * (2 * m + 1 + dk), sig_y)
+            nxt = np.subtract(2 * m + 1 + dk, x)
             nxt *= cur
-            nxt -= sig2 * np.sqrt(m * (m + dk)) * prev
+            nxt -= np.sqrt(m * (m + dk)) * prev
             nxt /= np.sqrt((m + 1) * (m + 1 + dk))
             cur, prev = nxt, cur
         yield cur
-
-
-def _m_seq(ds, counts, x):
-    """`_radial_slabs` for M_n^(d)(x) = sqrt(n!/(n+d)!) x^(d/2) e^(-x/2) L_n^(d)(x).
-
-    These are the magnitudes of <n|D(mu)|n+d> at x = |mu|^2, bounded by 1
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Yields the slabs
-    M_n[d, point], n = 0 .. counts[0] - 1.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        logx = np.where(x > 0, np.log(x), -np.inf)
-    yield from _radial_slabs(ds, counts, _log_start(ds, logx, x / 2), 1.0, x)
 
 
 def _noise_kernel(nbar, d, rows, cols):
@@ -368,16 +346,15 @@ def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
     return displacement_matrices(dim, [_as_complex(mu)], rows)[0]
 
 
-def displace_state(state: PureState, mu, out_dim=None) -> np.ndarray:
-    """Coefficients of D(mu)|state> in a possibly enlarged truncation.
+def displace_state(state: PureState, mu) -> np.ndarray:
+    """Coefficients of D(mu)|state> in an enlarged truncation.
 
-    The result is not renormalized; its norm deficit measures leakage.
+    With r = sqrt(dim - 1) + |mu|, the output keeps ceil(r^2 + 8 r + 16)
+    levels.  The result is not renormalized; its norm deficit measures leakage.
     """
     muc = _as_complex(mu)
-    if out_dim is None:
-        root = np.sqrt(state.dim - 1) + abs(muc)
-        out_dim = int(np.ceil(root * root + 8 * root + 16))
-    mat = displacement_matrix(state.dim, muc, rows=out_dim)
+    root = np.sqrt(state.dim - 1) + abs(muc)
+    mat = displacement_matrix(state.dim, muc, rows=int(np.ceil(root * root + 8 * root + 16)))
     return mat @ state.coeffs
 
 
@@ -413,6 +390,8 @@ def make_coherent(nu, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
 
 def make_number(n, dim=DEFAULT_DIM) -> PureState:
     """Number state |n>."""
+    if n < 0:
+        raise ValueError(f"number-state index {n} < 0")
     if n >= dim:
         raise IndexError(f"number-state index {n} >= dim {dim}")
     c = np.zeros(dim, dtype=complex)

@@ -89,9 +89,9 @@ def _bold_phi_diag_radial(probs, x):
     return out
 
 
-def _bold_phi_equal_batch(evals, evecs, mus, chunk=256):
+def _bold_phi_equal_batch(evals, evecs, mus):
     """PHI(mu, mu) = sum_ij lam_i lam_j |<v_i|D(mu)|v_j>|^2 for many mu."""
-    dim = evals.size
+    dim, chunk = evals.size, 256  # chunk: displacement matrices built at once
     mus = np.asarray(mus, complex).ravel()
     out = np.empty(mus.size)
     for lo in range(0, mus.size, chunk):

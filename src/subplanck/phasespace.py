@@ -51,6 +51,8 @@ from .fock import (
 )
 
 VACUUM_WIDTH = 1.0 / np.sqrt(2.0)
+# default_grid pads 1.2 L by this many of the state's per-axis widths.
+GRID_PAD_WIDTHS = 3.0
 # Largest per-point table (points x Hermite orders, or kernel slabs) held at once.
 CHUNK_ELEMENTS = 2**18
 
@@ -126,12 +128,12 @@ class PhaseGrid:
         return float(np.sum(self.values).real) * self.cell_measure
 
 
-def square_grid(halfwidth, resolution=256, center=ComplexAmplitude(0.0, 0.0)):
-    return PhaseGrid(center, (halfwidth, halfwidth), (resolution, resolution))
+def square_grid(halfwidth, resolution=256):
+    return PhaseGrid(ComplexAmplitude(0.0, 0.0), (halfwidth, halfwidth), (resolution, resolution))
 
 
-def default_grid(state, resolution=256, pad_widths=3.0):
-    """Grid sized from the state's second moments: 1.2 L + padding widths.
+def default_grid(state, resolution=256):
+    """Grid sized from the state's second moments: 1.2 L + GRID_PAD_WIDTHS widths.
 
     The padding multiplies the state's own per-axis quadrature width
     (with the vacuum width as a floor), so strongly squeezed states keep
@@ -139,8 +141,8 @@ def default_grid(state, resolution=256, pad_widths=3.0):
     """
     mx, mp, vx, vp = quad_moments(state)
     big_l = 2.0 * np.sqrt(vx + vp)
-    hw1 = 1.2 * big_l + pad_widths * max(np.sqrt(vx), VACUUM_WIDTH)
-    hw2 = 1.2 * big_l + pad_widths * max(np.sqrt(vp), VACUUM_WIDTH)
+    hw1 = 1.2 * big_l + GRID_PAD_WIDTHS * max(np.sqrt(vx), VACUUM_WIDTH)
+    hw2 = 1.2 * big_l + GRID_PAD_WIDTHS * max(np.sqrt(vp), VACUUM_WIDTH)
     return PhaseGrid(ComplexAmplitude(mx, mp), (hw1, hw2), (resolution, resolution))
 
 
@@ -148,10 +150,10 @@ def default_grid(state, resolution=256, pad_widths=3.0):
 # diagonal data and radial kernels
 # ---------------------------------------------------------------------------
 
-def state_diagonals(state, noise_floor=1e-18):
+def state_diagonals(state):
     """[(d, w_d)] with w_d[n] = rho_{n+d, n}, dropping sub-noise diagonals.
 
-    Entries below the noise floor (absolute; states are unit-normalized)
+    Entries at or below 1e-18 (absolute; states are unit-normalized)
     contribute less than double-precision roundoff to any kernel sum, so
     they and trailing runs of them are trimmed.  Over-padded states then
     cost what their actual support costs.
@@ -168,7 +170,7 @@ def state_diagonals(state, noise_floor=1e-18):
     out = []
     for d in range(dim):
         w = np.ascontiguousarray(gen(d))
-        alive = np.nonzero(np.abs(w) > noise_floor)[0]
+        alive = np.nonzero(np.abs(w) > 1e-18)[0]
         if alive.size:
             out.append((d, w[: alive[-1] + 1]))
     return out
@@ -369,6 +371,15 @@ def _smoothing(s, k):
     return _floored(np.where((j >= i) & ((j - i) % 2 == 0), np.exp(log_t), 0.0))
 
 
+def _squasi_matrix(state, s):
+    """(2/sqrt pi) T^T C~ T, the K x K matrix of W^(s) (see squasi_values)."""
+    c = _coefficient_matrix(state)
+    if s != 0:
+        t = _smoothing(s, c.shape[0])
+        c = _floored(t.T @ c) @ t
+    return _floored((2.0 / np.sqrt(np.pi)) * c)
+
+
 def squasi_values(state, s, points):
     """W^(s) (s <= 0) at complex points, by the separable Hermite kernel.
 
@@ -376,11 +387,7 @@ def squasi_values(state, s, points):
     """
     if s > 0:
         raise ValueError("s > 0 distributions are singular and rejected")
-    c = _coefficient_matrix(state)
-    if s != 0:
-        t = _smoothing(s, c.shape[0])
-        c = _floored(t.T @ c) @ t
-    mat = _floored((2.0 / np.sqrt(np.pi)) * c)
+    mat = _squasi_matrix(state, s)
     pts = np.asarray(points, dtype=complex)
     scale = 2.0 / np.sqrt(1.0 - s)
     return _separable_values(mat[None], scale * pts.real, scale * pts.imag)[0]
@@ -527,8 +534,8 @@ class OverlapResult:
         return self.matrix_value
 
 
-def overlap(rho1, rho2, resolution=256, mismatch_tol=1e-3) -> OverlapResult:
-    """Overlap tr(rho1 rho2), cross-checked against pi int d2a W1 W2."""
+def overlap(rho1, rho2, resolution=256) -> OverlapResult:
+    """Overlap tr(rho1 rho2), cross-checked to 1e-3 against pi int d2a W1 W2."""
     m1 = rho1.density().matrix if isinstance(rho1, PureState) else rho1.matrix
     m2 = rho2.density().matrix if isinstance(rho2, PureState) else rho2.matrix
     if m1.shape != m2.shape:
@@ -545,7 +552,7 @@ def overlap(rho1, rho2, resolution=256, mismatch_tol=1e-3) -> OverlapResult:
     w1 = wigner_values(rho1, grid.points())
     w2 = wigner_values(rho2, grid.points())
     grid_value = float(np.pi * np.sum(w1 * w2) * grid.cell_measure)
-    if abs(grid_value - matrix_value) > mismatch_tol:
+    if abs(grid_value - matrix_value) > 1e-3:
         raise GridResolutionError(
             f"overlap routes disagree: matrix {matrix_value:.6e} vs grid {grid_value:.6e}"
         )

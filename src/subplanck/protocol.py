@@ -39,10 +39,11 @@ from .fock import (
 from .phasespace import (
     CHUNK_ELEMENTS,
     PhaseGrid,
+    _separable_values,
+    _squasi_matrix,
     fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
     squasi_values,
     state_diagonals,
-    wigner_values,
 )
 
 # Half-width of the sampler grid in standard deviations of p(xi).
@@ -51,6 +52,8 @@ DENSITY_GRID_SIGMAS = 6.0
 _LOG_FLOOR = np.log(1e-100)
 # Largest probability the averaged channel's output truncation may cut off.
 _CHANNEL_TAIL = 1e-15
+# Smallest outcome probability the sampler's grid must capture.
+SAMPLER_MIN_MASS = 0.999
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ def average_channel(state, t) -> DensityOp:
     if t == 0:
         return state.density() if isinstance(state, PureState) else state
     rho = _reconstruct_damped(state, t)
-    return DensityOp(rho / np.real(np.trace(rho)))
+    # exactly Hermitian, and positive because both stages are CPTP: no eigvalsh check
+    return DensityOp(rho / np.real(np.trace(rho)), validate=False)
 
 
 def _reconstruct_damped(state, t):
@@ -151,6 +155,7 @@ def _reconstruct_damped(state, t):
         n = np.arange(out.size)
         rho[n + d, n] = out
         rho[n, n + d] = np.conj(out)
+    np.fill_diagonal(rho.imag, 0.0)  # populations are real; drop their complex products' roundoff
     return rho
 
 
@@ -188,7 +193,7 @@ def alice_outcome_density(state, t, xi) -> float:
 class OutcomeSampler:
     """Inverse-CDF sampler over a grid of p(xi) = W^(s_t)(xi) (default 512 x 512)."""
 
-    def __init__(self, state, t, resolution=512, min_mass=0.999):
+    def __init__(self, state, t, resolution=512):
         t = as_t(t)
         if t <= 0:
             raise ValueError("sampling requires t > 0")
@@ -196,8 +201,8 @@ class OutcomeSampler:
         self.grid = _density_grid(state, t, resolution=resolution)
         p = np.clip(self.grid.values, 0.0, None)
         mass = float(np.sum(p) * self.grid.cell_measure)
-        if mass < min_mass:
-            raise SamplingError(f"density grid captures mass {mass:.6f} < {min_mass}")
+        if mass < SAMPLER_MIN_MASS:
+            raise SamplingError(f"density grid captures mass {mass:.6f} < {SAMPLER_MIN_MASS}")
         self.mass = mass
         p *= self.grid.cell_measure
         self._cdf = np.cumsum(p.ravel())
@@ -248,38 +253,32 @@ class ConditionalKernel:
     polynomial of total degree <= 2D - 2 in the quadratures.
     """
 
-    def __init__(self, state, t, out_grid=None, in_resolution=None):
+    def __init__(self, state, t):
         t = as_t(t)
         if t <= 0:
             raise ValueError("conditional outputs require t > 0")
         self.t = t
         mx, mp, vx, vp = quad_moments(state)
+        center = ComplexAmplitude(mx, mp)
         hw_in = 1.2 * 2.0 * np.sqrt(vx + vp) + 3.0 / np.sqrt(2.0)
-        if in_resolution is None:
-            # resolve the P kernel width sqrt(t/2) with >= 4 samples
-            target = np.sqrt(t / 2.0) / 4.0
-            in_resolution = int(min(1024, max(256, np.ceil(2 * hw_in / target))))
-        self.in_grid = PhaseGrid(
-            ComplexAmplitude(mx, mp), (hw_in, hw_in), (in_resolution, in_resolution)
-        )
-        # Wigner samples a block of rows at a time, so the complex points
-        # and kernel output of a large input grid are never held at once.
+        # resolve the P kernel width sqrt(t/2) with >= 4 samples
+        target = np.sqrt(t / 2.0) / 4.0
+        res_in = int(min(1024, max(256, np.ceil(2 * hw_in / target))))
+        self.in_grid = PhaseGrid(center, (hw_in, hw_in), (res_in, res_in))
+        # Wigner samples from one coefficient build, a block of rows at a time, so
+        # the complex points and kernel output of a large input grid are never held at once.
+        wigner = _squasi_matrix(state, 0.0)[None]  # W(a) = sum_ik wigner_ik h_i(2 Re a) h_k(2 Im a)
         a1, a2 = self.in_grid.axis1, self.in_grid.axis2
         rows = max(1, CHUNK_ELEMENTS // (4 * a2.size))
         self.w_in = np.empty((a1.size, a2.size))
         for lo in range(0, a1.size, rows):
             pts = (a1[lo : lo + rows, None] + 1j * a2) / np.sqrt(2.0)
-            self.w_in[lo : lo + rows] = wigner_values(state, pts)
-        if out_grid is None:
-            var_xi = max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t)
-            hw_out = hw_in + 4.0 * np.sqrt(var_xi)
-            out_grid = PhaseGrid(
-                ComplexAmplitude(mx, mp), (hw_out, hw_out), (128, 128)
-            )
-        self.out_grid = out_grid
+            self.w_in[lo : lo + rows] = _separable_values(wigner, 2.0 * pts.real, 2.0 * pts.imag)[0]
+        hw_out = hw_in + 4.0 * np.sqrt(max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t))
+        out = self.out_grid = PhaseGrid(center, (hw_out, hw_out), (128, 128))
         # Per component, output node b and input node n enter the exponent
         # as -(b - n)^2/t - (t/4)((b - xi) + (n - xi))^2; the first part is fixed.
-        self._axes = ((out_grid.axis1, self.in_grid.axis1), (out_grid.axis2, self.in_grid.axis2))
+        self._axes = ((out.axis1, self.in_grid.axis1), (out.axis2, self.in_grid.axis2))
         self._fixed = [-np.subtract.outer(b, n) ** 2 / t for b, n in self._axes]
 
     def gaussian_factors(self, xi1, xi2):
@@ -317,9 +316,9 @@ class ConditionalKernel:
         return u[:, :rank] * sv[:rank], vt[:rank].T
 
 
-def conditional_output(state, t, xi, out_grid=None, in_resolution=None) -> PhaseGrid:
+def conditional_output(state, t, xi) -> PhaseGrid:
     """Wigner grid of the output state conditioned on outcome xi."""
-    kern = ConditionalKernel(state, t, out_grid=out_grid, in_resolution=in_resolution)
+    kern = ConditionalKernel(state, t)
     xi_c = _as_complex(xi)
     xi1, xi2 = np.sqrt(2.0) * xi_c.real, np.sqrt(2.0) * xi_c.imag
     p_xi = alice_outcome_density(state, t, xi)
@@ -355,8 +354,7 @@ def conditional_fidelity(state, t, xi) -> np.ndarray:
     return 2.0 * np.pi / t * squasi_values(state, -2.0 / t, xi) ** 2 / p
 
 
-def mc_average(state, t, samples, rng, out_grid=None, sampler=None,
-               in_resolution=None) -> MCResult:
+def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
     """Monte Carlo average over measurement outcomes of conditional outputs.
 
     Each outcome's grid is weighted by 1/q(xi), q the sampler's cell
@@ -376,7 +374,7 @@ def mc_average(state, t, samples, rng, out_grid=None, sampler=None,
     t = as_t(t)
     if sampler is None:
         sampler = OutcomeSampler(state, t)
-    kern = ConditionalKernel(state, t, out_grid=out_grid, in_resolution=in_resolution)
+    kern = ConditionalKernel(state, t)
     xi1s, xi2s, dens = sampler.sample(rng, samples)
     _check_conditioning(dens)
     if isinstance(state, PureState):

@@ -336,17 +336,63 @@ def _ref_angular_accumulate(diags, points, slabs, combine):
     return out.reshape(pts.shape)
 
 
+def _ref_log_start(ds, log_y, decay):
+    """Rows exp(d log(y) / 2 - log(d!) / 2 - decay), one per offset in ds.
+
+    The first iterate of the radial kernel, formed in the log domain so
+    large offsets and far points underflow cleanly to 0; row d = 0 is
+    exp(-decay) also where y = 0 (log_y = -inf).
+    """
+    from scipy.special import gammaln
+
+    ds = np.asarray(ds)[:, None]
+    with np.errstate(invalid="ignore"):
+        power = np.where(ds > 0, 0.5 * ds * log_y, 0.0)
+    return np.exp(power - 0.5 * gammaln(ds + 1) - decay)
+
+
+def _ref_radial_slabs(ds, counts, start, sig, sig_y):
+    """Scaled generalized-Laguerre recurrence along n, vectorized over offsets and points.
+
+    Yields the slabs R_n, n = 0 .. counts[0] - 1, where row i of R_n is the
+    n-th iterate for offset d = ds[i] over the 1-D point array sig_y:
+
+        R_{n+1} = ((sig (2n+1+d) - sig_y) R_n - sig^2 sqrt(n (n+d)) R_{n-1})
+                  / sqrt((n+1) (n+1+d)),     R_0 = start, R_{-1} = 0.
+
+    With sig = 1 and sig_y = x the iterates are the displacement elements
+    M_n^(d)(x) of the package's `fock._m_seq`; the s-ordered oracle below
+    drives it with sig = (s+1)/(s-1).  `counts` (iterates wanted per row)
+    must be nonincreasing: R_n holds only the leading rows with counts > n.
+    """
+    counts = np.asarray(counts)
+    steps = int(counts[0]) if counts.size else 0
+    active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
+    d = np.asarray(ds, dtype=float)[:, None]
+    sig2 = sig * sig
+    cur, prev = start, np.zeros_like(start)
+    for n in range(steps):
+        k = active[n]
+        cur, prev = cur[:k], prev[:k]
+        if n:
+            m, dk = n - 1, d[:k]
+            nxt = np.subtract(sig * (2 * m + 1 + dk), sig_y)
+            nxt *= cur
+            nxt -= sig2 * np.sqrt(m * (m + dk)) * prev
+            nxt /= np.sqrt((m + 1) * (m + 1 + dk))
+            cur, prev = nxt, cur
+        yield cur
+
+
 def _ref_t_slabs(s, ds, counts, r2):
     """Radial parts of <n+d| T^(s)(alpha) |n> (phase e^{i d phi} removed)."""
-    from subplanck.fock import _log_start, _radial_slabs
-
     one_minus = 1.0 - s
     sig = (s + 1.0) / (s - 1.0)
     sig_y = -4.0 * r2 / one_minus**2  # sigma * y, finite for every s < 1
     with np.errstate(divide="ignore"):
         log_y = np.where(r2 > 0, np.log(r2), -np.inf) + 2 * np.log(2.0 / one_minus)
-    start = (2.0 / one_minus) * _log_start(ds, log_y, 2.0 * r2 / one_minus)
-    return _radial_slabs(ds, counts, start, sig, sig_y)
+    start = (2.0 / one_minus) * _ref_log_start(ds, log_y, 2.0 * r2 / one_minus)
+    return _ref_radial_slabs(ds, counts, start, sig, sig_y)
 
 
 def ref_squasi_values(state, s, points):

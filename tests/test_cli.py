@@ -88,6 +88,38 @@ class TestFidelityCurveCommand:
         assert rc == 2
 
 
+MALFORMED = {
+    "non-numeric parameter": ["scales", "--state", "coherent:nu1=abc"],
+    "parameter without value": ["scales", "--state", "coherent:nu1"],
+    "non-integral integer parameter": ["scales", "--state", "number:n=2.7"],
+    "negative number state": ["scales", "--state", "number:n=-1"],
+    "config without file": ["scales", "--state", "coherent", "--config"],
+    "missing config file": ["scales", "--state", "coherent", "--config", "{tmp}/none.json"],
+    "invalid config file": ["scales", "--state", "coherent", "--config", "{tmp}/bad.json"],
+    "config not an object": ["scales", "--state", "coherent", "--config", "{tmp}/list.json"],
+    "zero t": ["teleport-mc", "--state", "coherent", "--t", "0", "--out", "{tmp}/m.csv"],
+    "zero samples": ["teleport-mc", "--state", "coherent", "--t", "1", "--samples", "0",
+                     "--out", "{tmp}/m.csv"],
+    "zero dim": ["random-average", "--dim", "0", "--out", "{tmp}/r.csv"],
+    "one-point grid": ["grid", "--state", "coherent", "--grid-res", "1", "--out", "{tmp}/g.csv"],
+    "random-average takes no trunc": ["random-average", "--dim", "2", "--trunc", "8",
+                                      "--out", "{tmp}/r.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_error_line(case, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [a.format(tmp=tmp_path) for a in MALFORMED[case]]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        rc = exc.code
+    assert rc == 2
+    assert any("error:" in line for line in capsys.readouterr().err.splitlines())
+
+
 class TestScalesCommand:
     def test_number_state(self, tmp_path, capsys):
         rc = main(["scales", "--state", "number:n=12"])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import ref_displacement_element, ref_displacement_expm, ref_m_element
+from oracles import (
+    _ref_log_start,
+    _ref_radial_slabs,
+    ref_displacement_element,
+    ref_displacement_expm,
+    ref_m_element,
+)
 
 from subplanck import (
     ComplexAmplitude,
@@ -120,6 +126,17 @@ class TestRadialKernel:
             worst = max(worst, float(np.max(np.abs(np.array(got[i]) - want))))
         assert worst <= 1e-12
 
+    def test_equals_general_recurrence_at_sig_one(self):
+        # _m_seq is the sig = 1 case of the oracles' general recurrence, bit for bit
+        ds = np.array([0, 1, 2, 9, 40])
+        xs = np.array([0.0, 1e-300, 0.3, 5.0, 80.0, 900.0])
+        counts = 60 - ds
+        with np.errstate(divide="ignore"):
+            start = _ref_log_start(ds, np.where(xs > 0, np.log(xs), -np.inf), xs / 2)
+        want = _ref_radial_slabs(ds, counts, start, 1.0, xs)
+        for got, ref in zip(_m_seq(ds, counts, xs), want, strict=True):
+            assert np.array_equal(got, ref)
+
 
 class TestCoherent:
     def test_zero_is_vacuum(self):
@@ -161,6 +178,11 @@ class TestNumber:
     def test_index_error(self):
         with pytest.raises(IndexError):
             make_number(8, 8)
+
+    def test_negative_index_rejected(self):
+        # not |dim - 1> through negative indexing
+        with pytest.raises(ValueError):
+            make_number(-1, 64)
 
     def test_variances(self):
         for n in (0, 2, 5):

@@ -32,7 +32,7 @@ from subplanck import (
     p_tilde,
     sample_outcome,
 )
-from subplanck import protocol
+from subplanck import phasespace, protocol
 from subplanck.phasespace import wigner_values
 from subplanck.protocol import ConditionalKernel, OutcomeSampler, conditional_fidelity
 
@@ -161,6 +161,7 @@ class TestAverageChannel:
             rho = average_channel(state, t)
             assert abs(channel_fidelity(state, rho) - closed) <= 1e-13
             assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-15
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)  # built Hermitian, unchecked
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_thermal_stays_thermal(self, t):
@@ -340,13 +341,30 @@ class TestConditionalOutput:
         with pytest.raises(ConditioningError):
             conditional_output(coh, 0.5, ComplexAmplitude(30.0, 30.0))
 
+    def test_one_coefficient_build_per_kernel(self, monkeypatch):
+        # the 759^2 input grid is filled in row blocks, all from one coefficient build,
+        # and equals one whole-grid evaluation
+        state = make_compass(2.0, 48)
+        calls = []
+        build = phasespace._coefficient_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(phasespace, "_coefficient_matrix", counting)
+        kern = ConditionalKernel(state, 0.02)
+        assert len(calls) == 1
+        assert kern.w_in.shape == (759, 759)
+        assert np.array_equal(kern.w_in, wigner_values(state, kern.in_grid.points()))
+
 
 class TestMonteCarlo:
     def test_single_sample_equals_conditional(self, coh):
         t = 1.0
         sampler = OutcomeSampler(coh, t, resolution=256)
         res = mc_average(coh, t, 1, make_rng(5), sampler=sampler)
-        kern = ConditionalKernel(coh, t, out_grid=res.grid)
+        kern = ConditionalKernel(coh, t)
         dens = density_at(sampler, res.xi1, res.xi2)
         ref = kern.evaluate(float(res.xi1[0]), float(res.xi2[0]), float(dens[0]))
         assert np.max(np.abs(res.grid.values - ref)) < 1e-12
@@ -393,7 +411,7 @@ class TestBatchedMonteCarlo:
         state = MC_STATES[name]()
         sampler = OutcomeSampler(state, t, resolution=256)
         res = mc_average(state, t, 40, make_rng(9), sampler=sampler)
-        kern = ConditionalKernel(state, t, out_grid=res.grid)
+        kern = ConditionalKernel(state, t)
         ref = ref_mc_average(kern, res.xi1, res.xi2, density_at(sampler, res.xi1, res.xi2))
         assert np.max(np.abs(res.grid.values - ref)) <= 1e-12
 
