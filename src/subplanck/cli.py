@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    GridResolutionError,
     QuadratureError,
     SamplingError,
     SubplanckError,
@@ -183,6 +183,9 @@ def write_csv(path, header, columns, rows):
     lines.append("# columns=" + ",".join(columns))
     formats = {}
     for row in rows:
+        if isinstance(row, str):  # lines already formatted as below (cmd_grid)
+            lines.append(row)
+            continue
         row = tuple(row)
         types = tuple(map(type, row))
         if types not in formats:
@@ -259,6 +262,8 @@ print("wrote", {png!r})
 
 def cmd_fidelity_curve(args):
     spec = StateSpec.parse(args.state, args.trunc)
+    if args.t_steps < 1:
+        raise ValidationFailure("--t-steps must be >= 1")
     if not (0 <= args.t_min < args.t_max) and args.t_steps != 1:
         raise ValidationFailure("need 0 <= t-min < t-max")
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
@@ -332,7 +337,6 @@ def cmd_grid(args):
         label, title = "|Phi|^2", f"characteristic (squared), {spec.descriptor}"
     else:
         raise ValidationFailure("function must be wigner, husimi or charsq")
-    a1, a2 = grid.mesh()
     header = {
         "state": spec.descriptor,
         "function": args.function,
@@ -345,8 +349,11 @@ def cmd_grid(args):
         "res2": res,
         "measure": "d2alpha = dq1 dq2 / 2",
     }
-    rows = zip(a1.ravel(), a2.ravel(), vals.ravel())
-    write_csv(args.out, header, ["nu1", "nu2", "value"], rows)
+    # the tuple rows' text: each axis value formatted once, the values in one % pass
+    nu1 = ["%.17g," % x for x in grid.axis1]
+    nu2 = ["%.17g,%%.17g" % y for y in grid.axis2]
+    template = "\n".join(a + b for a, b in itertools.product(nu1, nu2))
+    write_csv(args.out, header, ["nu1", "nu2", "value"], [template % tuple(vals.ravel().tolist())])
     script = PLOT_SCRIPT.format(csv=args.out, res1=res, res2=res, label=label,
                                 title=title, png=args.out + ".png")
     with open(args.out + ".plot.py", "w") as fh:
@@ -391,6 +398,8 @@ def cmd_teleport_mc(args):
 
 
 def cmd_random_average(args):
+    if args.samples < 2 or args.t_steps < 1:
+        raise ValidationFailure("need --samples >= 2 (for a standard error) and --t-steps >= 1")
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rng = make_rng(args.seed)
     states = [make_random(args.dim, rng=rng) for _ in range(args.samples)]
@@ -612,7 +621,7 @@ def main(argv=None) -> int:
             argv = argv[:1] + _config_flags(argv[idx + 1]) + argv[1:]
         args = ap.parse_args(argv)
         return args.func(args)
-    except (QuadratureError, GridResolutionError, SamplingError) as exc:
+    except (QuadratureError, SamplingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValidationFailure, SubplanckError, ValueError) as exc:

@@ -5,8 +5,8 @@ squared characteristic function in radial-angular form, which is exact
 (up to roundoff) for any Fock-truncated state once the node counts pass
 the truncation, so node counts are set from the state's support; forms
 1-3 are retained as consistency oracles.  Form 1 shares the radial
-machinery with a different damping; forms 2 and 3 contract sampled
-Wigner grids against Gaussian difference kernels.
+machinery with a different damping; forms 2 and 3, pi int Q^2 and the
+gradient slope are exact Hermite-basis traces (`phasespace.squasi_purity`).
 """
 
 from dataclasses import dataclass
@@ -14,16 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GridResolutionError, QuadratureError
+from .errors import QuadratureError
 from .fock import PureState, _noise_kernel, quad_moments
-from .phasespace import (
-    cached_default_wigner,
-    char_on_polar,
-    default_grid,
-    gaussian_pair_integral,
-    husimi_grid,
-    trimmed_support,
-)
+from .phasespace import char_on_polar, squasi_purity, trimmed_support, wigner_gradient_norm
 from .quadrature import polar_rule
 
 
@@ -147,21 +140,6 @@ def _char_sq_quadrature(state, decay, damping, prefactor):
     return _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean)
 
 
-def _grid_pair_form(state, t, form):
-    """Form 2 or 3 on the 256^2 default Wigner grid, cross-checked at 512^2 to 2e-5."""
-    if form == 2:
-        kern = lambda d1, d2: np.exp(-t * (d1**2 + d2**2) / 4.0)
-    else:
-        kern = lambda d1, d2: (2.0 / t) * np.exp(-(d1**2 + d2**2) / t)
-    coarse, fine = (
-        gaussian_pair_integral(cached_default_wigner(state, resolution=res), kern)
-        for res in (256, 512)
-    )
-    if abs(fine - coarse) > 2e-5 * max(1.0, abs(fine)):
-        raise GridResolutionError(f"form-{form} grid estimates disagree: {coarse!r} vs {fine!r}")
-    return fine
-
-
 def fidelity_quadrature(state, t, form=4):
     """Average fidelity of a pure state by one of the four integral forms."""
     if not isinstance(state, PureState):
@@ -175,15 +153,16 @@ def fidelity_quadrature(state, t, form=4):
         return _char_sq_quadrature(
             state, 1.0 + 2.0 / t, lambda x: np.exp(-2.0 * x / t), 2.0 / t
         )
-    if form in (2, 3):
-        return _grid_pair_form(state, t, form)
+    if form == 3:  # pi int W W^(-t) = pi int (W^(-t/2))^2
+        return squasi_purity(state, -t / 2.0)
+    if form == 2:  # t F(t) / 2 = F(4/t), term by term
+        return (2.0 / t) * squasi_purity(state, -2.0 / t)
     raise ValueError("form must be 1, 2, 3 or 4")
 
 
 def classical_fidelity(state) -> float:
-    """t = 2 fidelity as pi int d2xi Q^2 (heterodyne + coherent resend), on default_grid."""
-    q = husimi_grid(state, default_grid(state))
-    return float(np.pi * np.sum(q.values**2) * q.cell_measure)
+    """t = 2 fidelity as pi int d2xi Q^2 (heterodyne + coherent resend), Q = W^(-1)."""
+    return squasi_purity(state, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +276,6 @@ def random_slope_avg(dim) -> float:
 # slope at t = 0 and scale measures
 # ---------------------------------------------------------------------------
 
-def _slope_gradient(state, resolution):
-    grid = cached_default_wigner(state, resolution=resolution)
-    w = grid.values
-    h1, h2 = grid.spacing
-    gx = np.zeros_like(w)
-    gy = np.zeros_like(w)
-    # fourth-order central differences in the interior; the padded border
-    # carries negligible Wigner mass
-    gx[2:-2, :] = (8 * (w[3:-1, :] - w[1:-3, :]) - (w[4:, :] - w[:-4, :])) / (12 * h1)
-    gy[:, 2:-2] = (8 * (w[:, 3:-1] - w[:, 1:-3]) - (w[:, 4:] - w[:, :-4])) / (12 * h2)
-    return -np.pi / 8.0 * float(np.sum(gx**2 + gy**2)) * h1 * h2
-
-
 def slope_at_zero(state, route="variance") -> float:
     """dF/dt at t = 0, by quadrature variances or the Wigner-gradient integral."""
     _, _, vx, vp = quad_moments(state)
@@ -318,13 +284,12 @@ def slope_at_zero(state, route="variance") -> float:
         return variance_value
     if route != "gradient":
         raise ValueError("route must be 'variance' or 'gradient'")
-    for resolution in (512, 1024):
-        est = _slope_gradient(state, resolution)
-        if abs(est - variance_value) <= 1e-3 * abs(variance_value):
-            return est
-    raise GridResolutionError(
-        f"gradient-route slope {est!r} disagrees with variance route {variance_value!r}"
-    )
+    est = -wigner_gradient_norm(state)
+    if abs(est - variance_value) > 1e-3 * abs(variance_value):
+        raise QuadratureError(
+            f"gradient-route slope {est!r} disagrees with variance route {variance_value!r}"
+        )
+    return est
 
 
 def scale_report(state, label="") -> ScaleReport:

@@ -25,6 +25,9 @@ O(D K^2) plus three K^3 products to build and is rebuilt on every call;
 for a few points on a large-support state (about 0.7 s at D = 296) that is
 dearer than a per-point radial kernel, for grids it is far cheaper.
 
+The same matrices give pi int (W^(s))^2 and int |grad W|^2 exactly, as
+Frobenius norms (`squasi_purity`, `wigner_gradient_norm`).
+
 The characteristic function on polar quadrature nodes (`char_on_polar`)
 keeps the offset-diagonal form: a sum over offsets d of scaled Laguerre
 recurrences from `fock`, one slab over all offsets and nodes per step,
@@ -380,6 +383,23 @@ def _squasi_matrix(state, s):
     return _floored((2.0 / np.sqrt(np.pi)) * c)
 
 
+def squasi_purity(state, s) -> float:
+    """pi int d2a W^(s)(a)^2 = (1 - s) ||T^T C~ T||_F^2, exact as the h_j are orthonormal."""
+    m = _squasi_matrix(state, s)
+    return (1.0 - s) * (np.pi / 4.0) * float(np.sum(m * m))
+
+
+def wigner_gradient_norm(state) -> float:
+    """(pi/8) int dq1 dq2 |grad W|^2 = (||Delta C~||_F^2 + ||C~ Delta^T||_F^2) / 2, exact.
+
+    Column j of Delta expands h_j' = r_{j-1} h_{j-1} - r_j h_{j+1}, r_j = sqrt((j+1)/2).
+    """
+    c = _squasi_matrix(state, 0.0) * (np.sqrt(np.pi) / 2.0)
+    r = np.sqrt(np.arange(1, c.shape[0] + 1) / 2.0)
+    delta = (np.diag(r, 1) - np.diag(r, -1))[:, :-1]
+    return (float(np.sum((delta @ c) ** 2)) + float(np.sum((c @ delta.T) ** 2))) / 2.0
+
+
 def squasi_values(state, s, points):
     """W^(s) (s <= 0) at complex points, by the separable Hermite kernel.
 
@@ -506,8 +526,8 @@ _default_wigner_cache = weakref.WeakKeyDictionary()
 def cached_default_wigner(state, resolution=256) -> PhaseGrid:
     """Wigner samples on the state's default grid, memoized per state.
 
-    Keyed weakly on the state object, so repeated fidelity/overlap calls
-    on one state reuse the grid instead of re-evaluating the kernel.
+    Keyed weakly on the state object, so the tests' repeated grid sums on
+    one state reuse the grid instead of re-evaluating the kernel.
     """
     per_state = _default_wigner_cache.setdefault(state, {})
     if resolution not in per_state:
@@ -560,7 +580,7 @@ def overlap(rho1, rho2, resolution=256) -> OverlapResult:
 
 
 # ---------------------------------------------------------------------------
-# grid kernels used by the fidelity module
+# grid kernels of the tests' grid oracles; the library does not call them
 # ---------------------------------------------------------------------------
 
 def fftconvolve(in1, in2):

@@ -432,6 +432,70 @@ def ref_char_values(state, points):
 
 
 # ---------------------------------------------------------------------------
+# grid quadratures of the phase-space integrals
+# ---------------------------------------------------------------------------
+# The sums the package used before its Hermite-basis traces: forms 2 and 3,
+# pi int Q^2 and the Wigner-gradient slope on sampled default grids, with
+# their resolution cross-checks.
+
+def ref_grid_pair_form(state, t, form):
+    """Form 2 or 3 on the 256^2 default Wigner grid, cross-checked at 512^2 to 2e-5."""
+    from subplanck import GridResolutionError
+    from subplanck.phasespace import cached_default_wigner, gaussian_pair_integral
+
+    if form == 2:
+        kern = lambda d1, d2: np.exp(-t * (d1**2 + d2**2) / 4.0)
+    else:
+        kern = lambda d1, d2: (2.0 / t) * np.exp(-(d1**2 + d2**2) / t)
+    coarse, fine = (
+        gaussian_pair_integral(cached_default_wigner(state, resolution=res), kern)
+        for res in (256, 512)
+    )
+    if abs(fine - coarse) > 2e-5 * max(1.0, abs(fine)):
+        raise GridResolutionError(f"form-{form} grid estimates disagree: {coarse!r} vs {fine!r}")
+    return fine
+
+
+def ref_grid_classical(state):
+    """pi int d2xi Q^2 summed on the 256^2 default grid."""
+    from subplanck.phasespace import default_grid, husimi_grid
+
+    q = husimi_grid(state, default_grid(state))
+    return float(np.pi * np.sum(q.values**2) * q.cell_measure)
+
+
+def _ref_grid_slope(state, resolution):
+    from subplanck.phasespace import cached_default_wigner
+
+    grid = cached_default_wigner(state, resolution=resolution)
+    w = grid.values
+    h1, h2 = grid.spacing
+    gx = np.zeros_like(w)
+    gy = np.zeros_like(w)
+    # fourth-order central differences in the interior; the padded border
+    # carries negligible Wigner mass
+    gx[2:-2, :] = (8 * (w[3:-1, :] - w[1:-3, :]) - (w[4:, :] - w[:-4, :])) / (12 * h1)
+    gy[:, 2:-2] = (8 * (w[:, 3:-1] - w[:, 1:-3]) - (w[:, 4:] - w[:, :-4])) / (12 * h2)
+    return -np.pi / 8.0 * float(np.sum(gx**2 + gy**2)) * h1 * h2
+
+
+def ref_grid_slope(state):
+    """-(pi/8) int |grad W|^2 by finite differences at 512^2, then 1024^2,
+    returning the first within 1e-3 (relative) of the variance route."""
+    from subplanck import GridResolutionError, quad_moments
+
+    _, _, vx, vp = quad_moments(state)
+    variance_value = -(vx + vp) / 2.0
+    for resolution in (512, 1024):
+        est = _ref_grid_slope(state, resolution)
+        if abs(est - variance_value) <= 1e-3 * abs(variance_value):
+            return est
+    raise GridResolutionError(
+        f"gradient-route slope {est!r} disagrees with variance route {variance_value!r}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # closed forms and helpers only the tests use
 # ---------------------------------------------------------------------------
 

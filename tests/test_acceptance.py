@@ -92,7 +92,7 @@ def test_02_four_form_equality():
     report(
         2,
         worst14 <= 1e-8 and worst_grid <= 1e-4 and elapsed < 30.0,
-        f"|F1-F4| {worst14:.2e} (<=1e-8), grid forms {worst_grid:.2e} (<=1e-4), "
+        f"|F1-F4| {worst14:.2e} (<=1e-8), forms 2/3 {worst_grid:.2e} (<=1e-4), "
         f"{elapsed:.1f}s (<30s)",
     )
 

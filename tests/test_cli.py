@@ -104,6 +104,13 @@ MALFORMED = {
     "one-point grid": ["grid", "--state", "coherent", "--grid-res", "1", "--out", "{tmp}/g.csv"],
     "random-average takes no trunc": ["random-average", "--dim", "2", "--trunc", "8",
                                       "--out", "{tmp}/r.csv"],
+    "zero t-steps": ["fidelity-curve", "--state", "coherent", "--t-steps", "0",
+                     "--out", "{tmp}/f.csv"],
+    "one random sample": ["random-average", "--dim", "2", "--samples", "1", "--out", "{tmp}/r.csv"],
+    "zero random samples": ["random-average", "--dim", "2", "--samples", "0",
+                            "--out", "{tmp}/r.csv"],
+    "zero random t-steps": ["random-average", "--dim", "2", "--t-steps", "0",
+                            "--out", "{tmp}/r.csv"],
 }
 
 
@@ -117,7 +124,9 @@ def test_malformed_input_exits_2_with_error_line(case, tmp_path, capsys):
     except SystemExit as exc:  # argparse's own usage errors
         rc = exc.code
     assert rc == 2
-    assert any("error:" in line for line in capsys.readouterr().err.splitlines())
+    err = capsys.readouterr().err
+    assert any("error:" in line for line in err.splitlines())
+    assert "RuntimeWarning" not in err
 
 
 class TestScalesCommand:
@@ -168,6 +177,19 @@ class TestGridCommand:
         _, rows = read_csv(out)
         assert np.all(rows[:, 2] >= -1e-14)
         assert rows[:, 2].max() <= 1.0 + 1e-12  # pi * (1/pi)
+
+    @pytest.mark.parametrize("function", ["wigner", "husimi", "charsq"])
+    def test_bytes_match_tuple_rows(self, tmp_path, function):
+        # %.17g round-trips doubles, so the rows read back are the values written;
+        # write_csv's generic tuple path must give the same bytes
+        out, ref = tmp_path / "g.csv", tmp_path / "ref.csv"
+        rc = main(["grid", "--state", "compass:a=1.5", "--function", function,
+                   "--grid-res", "9", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        columns = header.pop("columns").split(",")
+        cli_module.write_csv(ref, header, columns, (tuple(row) for row in rows))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_compass_checkerboard_period(self, tmp_path):
         # peak-spacing estimator on the central interference pattern

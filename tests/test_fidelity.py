@@ -8,6 +8,9 @@ from oracles import (
     random_avg_fidelity_series,
     ref_fidelity_form4,
     ref_gauss_laguerre_scaled,
+    ref_grid_classical,
+    ref_grid_pair_form,
+    ref_grid_slope,
     two_level_fidelity,
 )
 
@@ -27,6 +30,7 @@ from subplanck import (
     make_random,
     make_rng,
     make_squeezed,
+    make_thermal,
     max_fidelity_bound,
     number_fidelity,
     random_avg_fidelity,
@@ -82,6 +86,31 @@ class TestQuadratureForms:
                 f4 = fidelity_quadrature(st, t, 4)
                 assert fidelity_quadrature(st, t, 2) == pytest.approx(f4, abs=1e-4)
                 assert fidelity_quadrature(st, t, 3) == pytest.approx(f4, abs=1e-4)
+
+    def test_grid_forms_match_grid_oracle(self, catalog):
+        for name in ("compass", "random20"):
+            st = catalog[name]
+            for t in (0.5, 1.3):
+                for form in (2, 3):
+                    assert fidelity_quadrature(st, t, form) == pytest.approx(
+                        ref_grid_pair_form(st, t, form), abs=2e-5
+                    )
+
+    def test_scale_relation_term_by_term(self, catalog):
+        # forms 2 and 3 share one trace, so t F2(t)/2 = F3(4/t) to roundoff
+        for name in ("number3", "compass", "random20"):
+            st = catalog[name]
+            for t in (0.1, 0.7, 2.0, 9.0):
+                f2, f3 = fidelity_quadrature(st, t, 2), fidelity_quadrature(st, 4.0 / t, 3)
+                assert abs(t * f2 / 2.0 - f3) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 5.0])
+    def test_grid_forms_on_random60(self, t):
+        # the 256^2/512^2 grid sums disagreed beyond 2e-5 for form 3 at t <= 1, form 2 at t = 5
+        st = make_random(60, seed=3)
+        f4 = fidelity_quadrature(st, t, 4)
+        for form in (2, 3):
+            assert abs(fidelity_quadrature(st, t, form) - f4) <= 1e-11
 
     def test_oracle_spot_checks(self, catalog, rng):
         st = catalog["random20"]
@@ -267,6 +296,17 @@ class TestSlopeAndScales:
             st = catalog[name]
             grad = slope_at_zero(st, "gradient")
             assert grad == pytest.approx(slope_at_zero(st), rel=1e-3)
+            assert grad == pytest.approx(ref_grid_slope(st), rel=1e-3)
+
+    def test_gradient_route_on_quick_start_state(self):
+        # the finite-difference sum stayed 1.6e-3 off the variance route at 1024^2
+        st = make_compass(5 / np.sqrt(2), 64)
+        assert slope_at_zero(st, "gradient") == pytest.approx(slope_at_zero(st), rel=1e-12)
+
+    def test_gradient_route_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(fidelity_module, "wigner_gradient_norm", lambda st: 0.6)
+        with pytest.raises(QuadratureError):
+            slope_at_zero(make_number(0, 8), "gradient")
 
     def test_scale_reports(self):
         rep = scale_report(make_number(0, 8))
@@ -330,3 +370,11 @@ class TestClassicalFidelity:
             assert classical_fidelity(st) == pytest.approx(
                 fidelity_quadrature(st, 2.0, 4), abs=1e-4
             )
+
+    def test_matches_grid_oracle(self, catalog):
+        for st in (catalog["compass"], catalog["squeezed"], make_thermal(1.0, 64)):
+            assert classical_fidelity(st) == pytest.approx(ref_grid_classical(st), abs=1e-4)
+
+    def test_thermal_closed_form(self):
+        # Q of a thermal state is e^{-|a|^2/(nbar+1)} / (pi (nbar+1)): pi int Q^2 = 1/(2(nbar+1))
+        assert classical_fidelity(make_thermal(1.0, 64)) == pytest.approx(0.25, abs=1e-12)
