@@ -317,6 +317,8 @@ def cmd_scales(args):
 
 
 def cmd_grid(args):
+    if args.grid_extent is not None and args.grid_extent <= 0:
+        raise ValidationFailure("--grid-extent must be > 0")
     spec = StateSpec.parse(args.state, args.trunc)
     state = spec.build()
     res = args.grid_res
@@ -415,6 +417,8 @@ def cmd_random_average(args):
 
 
 def cmd_evolve(args):
+    if args.t_steps < 1 or args.snapshot_stride < 0:
+        raise ValidationFailure("need --t-steps >= 1 and --snapshot-stride >= 0")
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)

@@ -277,13 +277,19 @@ def random_slope_avg(dim) -> float:
 # ---------------------------------------------------------------------------
 
 def slope_at_zero(state, route="variance") -> float:
-    """dF/dt at t = 0, by quadrature variances or the Wigner-gradient integral."""
+    """dF/dt at t = 0, by quadrature variances or the Wigner-gradient integral.
+
+    The gradient route is the pure-state identity dF/dt = -(pi/8) int |grad W|^2,
+    so it takes only a PureState; the variance route takes either kind.
+    """
     _, _, vx, vp = quad_moments(state)
     variance_value = -(vx + vp) / 2.0
     if route == "variance":
         return variance_value
     if route != "gradient":
         raise ValueError("route must be 'variance' or 'gradient'")
+    if not isinstance(state, PureState):
+        raise TypeError("the gradient-route slope expects a pure state; use route='variance'")
     est = -wigner_gradient_norm(state)
     if abs(est - variance_value) > 1e-3 * abs(variance_value):
         raise QuadratureError(

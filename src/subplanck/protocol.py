@@ -10,15 +10,13 @@ Wigner function smoothed by her reduced resource mode, which is exactly
 the s-ordered quasidistribution W^(s_t) with s_t = -(1 + t^2/4)/t, so
 both pointwise values and the sampler's grid come from the closed
 s-ordered kernel.  Conditional outputs are Wigner grids (never
-matrices), evaluated from the double-Gaussian integrand as products of
-per-component Gaussian factors with the cached input Wigner grid; factor
-entries below 1e-100 are stored as zeros, so no product runs on
-subnormal floats.  The Monte Carlo average factors that grid once (its
-rank is at most 2D - 1 for Fock support D) and contracts whole chunks
-of outcomes in three matrix products.  Per-sample fidelities come from
-the closed form f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the
-unity-gain output T(xi)|psi> (Hofmann et al., Phys. Rev. A 62, 062304
-(2000)), not from grids.
+matrices), in closed form from the same kernel: p(xi) W(beta | xi) is a
+Gaussian in beta - xi times W^(s) at s = -4t/(4 + t^2), separable per
+quadrature (`ConditionalKernel`), so no input grid is sampled.
+Per-sample fidelities come from the closed form
+f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the unity-gain output
+T(xi)|psi> (Hofmann et al., Phys. Rev. A 62, 062304 (2000)), not from
+grids.
 """
 
 from dataclasses import dataclass
@@ -34,12 +32,13 @@ from .fock import (
     PureState,
     _as_complex,
     _noise_kernel,
+    hermite_functions,
     quad_moments,
 )
 from .phasespace import (
     CHUNK_ELEMENTS,
     PhaseGrid,
-    _separable_values,
+    _floored,
     _squasi_matrix,
     fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
     squasi_values,
@@ -48,8 +47,6 @@ from .phasespace import (
 
 # Half-width of the sampler grid in standard deviations of p(xi).
 DENSITY_GRID_SIGMAS = 6.0
-# Gaussian kernel entries below e^_LOG_FLOOR = 1e-100 are stored as zeros.
-_LOG_FLOOR = np.log(1e-100)
 # Largest probability the averaged channel's output truncation may cut off.
 _CHANNEL_TAIL = 1e-15
 # Smallest outcome probability the sampler's grid must capture.
@@ -241,79 +238,56 @@ def _check_conditioning(p):
 class ConditionalKernel:
     """Evaluates output Wigner grids W(beta | xi) for a fixed input and t.
 
-    The double-Gaussian integrand separates per quadrature component, so
-    an outcome's grid is a1 @ w_in @ a2.T / p(xi), where w_in holds the
-    cached input Wigner samples and a1, a2 are Gaussian factors
-    (`gaussian_factors`).  Factor entries below 1e-100 are stored as
-    exact zeros: they move no grid value by more than ~1e-100, and left
-    in place they underflow to subnormal floats, on which matrix
-    products run many times slower.  For batches of outcomes
-    (`mc_average`), `input_factors` factors w_in once; its rank is at
-    most 2D - 1 for Fock support D, because W is e^{-2|alpha|^2} times a
-    polynomial of total degree <= 2D - 2 in the quadratures.
+    In quadrature units b = sqrt2 beta and x = sqrt2 xi, integrating the
+    double-Gaussian integrand against W_in is a Gaussian smoothing:
+
+        p(xi) W(b | xi) = (-2s/pi) e^{s |b - x|^2} W^(s)((x + kappa (b - x))/sqrt2),
+
+    with s = -4t/(4 + t^2) and kappa = (4 - t^2)/(4 + t^2).  Both factors
+    separate per quadrature, so with the K x K matrix N of W^(s)
+    (`phasespace._squasi_matrix`, built once per kernel) an outcome's grid
+    is L @ N @ R.T times -2s/(pi p(xi)), where L and R hold Hermite
+    functions at sqrt(2/(1 - s)) (x + kappa (b - x)) on each output axis
+    times e^{s (b - x)^2} (`factors`).  Factor entries below 1e-100 are
+    stored as exact zeros: they move no grid value by more than ~1e-100,
+    and left in place they underflow to subnormal floats, on which matrix
+    products run many times slower.
     """
 
     def __init__(self, state, t):
         t = as_t(t)
         if t <= 0:
             raise ValueError("conditional outputs require t > 0")
-        self.t = t
+        self.order = -4.0 * t / (4.0 + t * t)
+        self.kappa = (4.0 - t * t) / (4.0 + t * t)
+        self.coeffs = _squasi_matrix(state, self.order)
         mx, mp, vx, vp = quad_moments(state)
-        center = ComplexAmplitude(mx, mp)
-        hw_in = 1.2 * 2.0 * np.sqrt(vx + vp) + 3.0 / np.sqrt(2.0)
-        # resolve the P kernel width sqrt(t/2) with >= 4 samples
-        target = np.sqrt(t / 2.0) / 4.0
-        res_in = int(min(1024, max(256, np.ceil(2 * hw_in / target))))
-        self.in_grid = PhaseGrid(center, (hw_in, hw_in), (res_in, res_in))
-        # Wigner samples from one coefficient build, a block of rows at a time, so
-        # the complex points and kernel output of a large input grid are never held at once.
-        wigner = _squasi_matrix(state, 0.0)[None]  # W(a) = sum_ik wigner_ik h_i(2 Re a) h_k(2 Im a)
-        a1, a2 = self.in_grid.axis1, self.in_grid.axis2
-        rows = max(1, CHUNK_ELEMENTS // (4 * a2.size))
-        self.w_in = np.empty((a1.size, a2.size))
-        for lo in range(0, a1.size, rows):
-            pts = (a1[lo : lo + rows, None] + 1j * a2) / np.sqrt(2.0)
-            self.w_in[lo : lo + rows] = _separable_values(wigner, 2.0 * pts.real, 2.0 * pts.imag)[0]
-        hw_out = hw_in + 4.0 * np.sqrt(max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t))
-        out = self.out_grid = PhaseGrid(center, (hw_out, hw_out), (128, 128))
-        # Per component, output node b and input node n enter the exponent
-        # as -(b - n)^2/t - (t/4)((b - xi) + (n - xi))^2; the first part is fixed.
-        self._axes = ((out.axis1, self.in_grid.axis1), (out.axis2, self.in_grid.axis2))
-        self._fixed = [-np.subtract.outer(b, n) ** 2 / t for b, n in self._axes]
+        hw = (1.2 * 2.0 * np.sqrt(vx + vp) + 3.0 / np.sqrt(2.0)
+              + 4.0 * np.sqrt(max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t)))
+        self.out_grid = PhaseGrid(ComplexAmplitude(mx, mp), (hw, hw), (128, 128))
 
-    def gaussian_factors(self, xi1, xi2):
-        """Floored factors (a1[k], a2[k]) for outcomes (xi1[k], xi2[k]).
+    def factors(self, xi1, xi2):
+        """Floored (L[k], R[k]) for outcomes (xi1[k], xi2[k]).
 
-        Each has shape (outcomes, output nodes, input nodes); entries whose
-        exponent lies below log(1e-100) are exactly 0, all others normal.
+        p(xi_k) W(b | xi_k) = (-2s/pi) L[k] @ coeffs @ R[k].T.  Each has
+        shape (outcomes, output nodes, K); entries below 1e-100 are exactly
+        0, all others normal.
         """
-        factors = []
-        for (b, n), fixed, xs in zip(self._axes, self._fixed, (xi1, xi2)):
+        s, kappa, k = self.order, self.kappa, self.coeffs.shape[0]
+        scale = np.sqrt(2.0 / (1.0 - s))
+        out = []
+        for b, xs in ((self.out_grid.axis1, xi1), (self.out_grid.axis2, xi2)):
             xs = np.reshape(xs, (-1, 1))
-            expo = (b - xs)[:, :, None] + (n - xs)[:, None, :]
-            expo *= expo
-            expo *= self.t / 4.0
-            np.subtract(fixed, expo, out=expo)
-            expo[expo < _LOG_FLOOR] = -np.inf
-            factors.append(np.exp(expo, out=expo))
-        return factors
+            d = b - xs
+            h = hermite_functions((scale * (xs + kappa * d)).ravel(), k) * np.exp(s * d * d).ravel()
+            out.append(_floored(h.T.reshape(d.shape + (k,))))
+        return out
 
     def evaluate(self, xi1, xi2, p_xi) -> np.ndarray:
-        """Output grid for one outcome (dense product, no factorization of w_in)."""
+        """Output grid for one outcome."""
         _check_conditioning(p_xi)
-        a1, a2 = self.gaussian_factors(xi1, xi2)
-        h1, h2 = self.in_grid.spacing
-        return (a1[0] @ self.w_in @ a2[0].T) * (2.0 / (np.pi**2 * p_xi) * h1 * h2)
-
-    def input_factors(self):
-        """(left, right) with w_in = left @ right.T, from one SVD.
-
-        Singular values at or below numpy's `matrix_rank` tolerance
-        (largest value * grid size * machine epsilon) are dropped.
-        """
-        u, sv, vt = np.linalg.svd(self.w_in)
-        rank = max(1, int(np.sum(sv > sv[0] * max(self.w_in.shape) * np.finfo(float).eps)))
-        return u[:, :rank] * sv[:rank], vt[:rank].T
+        left, right = self.factors(xi1, xi2)
+        return (left[0] @ self.coeffs @ right[0].T) * (-2.0 * self.order / (np.pi * p_xi))
 
 
 def conditional_output(state, t, xi) -> PhaseGrid:
@@ -359,15 +333,13 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
 
     Each outcome's grid is weighted by 1/q(xi), q the sampler's cell
     density, so the mean is an unbiased importance-sampling estimate of
-    the averaged channel's output.  The input Wigner grid is factored once
-    (`ConditionalKernel.input_factors`, rank <= 2D - 1); each chunk of B
-    outcomes, with B factor matrices per component within CHUNK_ELEMENTS
-    values, then costs three matrix products on the floored Gaussian
-    factors: a1 stack @ left, a2 stack @ right, and the sum over the
-    chunk as one product over the stacked (outcome, rank) index.  Chunk
-    sums are added with compensated summation.  Per-sample fidelities of
-    pure inputs are the closed form `conditional_fidelity` at the drawn
-    outcomes (NaN for mixed inputs).
+    the averaged channel's output.  Each chunk of B outcomes, with B
+    factor matrices per component within CHUNK_ELEMENTS values, costs two
+    matrix products on the floored factors of `ConditionalKernel.factors`:
+    the L stack @ N, and the sum over the chunk as one product over the
+    stacked (outcome, K) index.  Chunk sums are added with compensated
+    summation.  Per-sample fidelities of pure inputs are the closed form
+    `conditional_fidelity` at the drawn outcomes (NaN for mixed inputs).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -381,24 +353,20 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
         fids = conditional_fidelity(state, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     else:
         fids = np.full(samples, np.nan)
-    left, right = kern.input_factors()
-    rank = left.shape[1]
     n1, n2 = kern.out_grid.resolution
-    chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * kern.in_grid.resolution[0]))
-    h1, h2 = kern.in_grid.spacing
-    weights = 2.0 / (np.pi**2 * dens) * h1 * h2
+    k = kern.coeffs.shape[0]
+    chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * k))
+    weights = -2.0 * kern.order / (np.pi * dens)
     acc = np.zeros((n1, n2))
     comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
     for lo in range(0, samples, chunk):
         part = slice(lo, lo + chunk)
-        a1, a2 = kern.gaussian_factors(xi1s[part], xi2s[part])
-        b = a1.shape[0]
-        lhs = a1.reshape(b * n1, -1) @ left
-        rhs = (a2.reshape(b * n2, -1) @ right).reshape(b, n2, rank)
-        rhs *= weights[part, None, None]
-        # sum_k lhs_k @ rhs_k.T as one product over the index (k, rank)
-        lhs = lhs.reshape(b, n1, rank).transpose(1, 0, 2).reshape(n1, b * rank)
-        vals = lhs @ rhs.transpose(1, 0, 2).reshape(n2, b * rank).T
+        left, right = kern.factors(xi1s[part], xi2s[part])
+        b = left.shape[0]
+        lhs = (left.reshape(b * n1, k) @ kern.coeffs).reshape(b, n1, k)
+        right *= weights[part, None, None]
+        # sum_j lhs_j @ right_j.T as one product over the index (j, K)
+        vals = lhs.transpose(1, 0, 2).reshape(n1, b * k) @ right.transpose(1, 0, 2).reshape(n2, b * k).T
         y = vals - comp
         new = acc + y
         comp = (new - acc) - y

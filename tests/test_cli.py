@@ -111,6 +111,14 @@ MALFORMED = {
                             "--out", "{tmp}/r.csv"],
     "zero random t-steps": ["random-average", "--dim", "2", "--t-steps", "0",
                             "--out", "{tmp}/r.csv"],
+    "zero evolve t-steps": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--t-steps", "0",
+                            "--out-prefix", "{tmp}/e"],
+    "negative snapshot stride": ["evolve", "--t-final", "0.01", "--dt", "0.001",
+                                 "--snapshot-stride", "-5", "--out-prefix", "{tmp}/e"],
+    "zero grid extent": ["grid", "--state", "coherent", "--grid-res", "9",
+                         "--grid-extent", "0", "--out", "{tmp}/g.csv"],
+    "negative grid extent": ["grid", "--state", "coherent", "--grid-res", "9",
+                             "--grid-extent", "-2", "--out", "{tmp}/g.csv"],
 }
 
 
@@ -127,6 +135,7 @@ def test_malformed_input_exits_2_with_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert any("error:" in line for line in err.splitlines())
     assert "RuntimeWarning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "list.json"]  # no output
 
 
 class TestScalesCommand:

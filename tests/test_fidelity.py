@@ -151,6 +151,13 @@ class TestLaguerreRule:
         assert np.max(np.abs(x - xr) / xr) <= tol
         assert np.max(np.abs(w - wr) / wr) <= tol
 
+    @pytest.mark.parametrize("n,tol", [(64, 1e-13), (128, 5e-13)])
+    def test_christoffel_weights_near_node_limit(self, n, tol):
+        # the weights' error stays at the nodes' (~1e-13 at n = 128), not magnified by L_{n+1}
+        x, w = gauss_laguerre_scaled(n)
+        wr = np.array([float(v) for v in ref_gauss_laguerre_scaled(n)[1]])
+        assert np.max(np.abs(w - wr) / wr) <= tol
+
 
 class TestClosedForms:
     def test_coherent_values(self):
@@ -307,6 +314,13 @@ class TestSlopeAndScales:
         monkeypatch.setattr(fidelity_module, "wigner_gradient_norm", lambda st: 0.6)
         with pytest.raises(QuadratureError):
             slope_at_zero(make_number(0, 8), "gradient")
+
+    def test_gradient_route_rejects_mixed_input(self):
+        # the gradient identity holds for pure states only: a wrong type, not a numerical failure
+        rho = make_thermal(1.0, 64)
+        with pytest.raises(TypeError):
+            slope_at_zero(rho, "gradient")
+        assert slope_at_zero(rho) == pytest.approx(-1.5, abs=1e-12)
 
     def test_scale_reports(self):
         rep = scale_report(make_number(0, 8))

@@ -7,6 +7,7 @@ from oracles import (
     channel_fidelity,
     density_at,
     marginal_wigner_a,
+    ref_conditional_grid,
     ref_conditional_values,
     ref_mc_average,
 )
@@ -27,6 +28,7 @@ from subplanck import (
     make_number,
     make_random,
     make_rng,
+    make_thermal,
     mc_average,
     p_dist,
     p_tilde,
@@ -104,8 +106,6 @@ class TestAverageChannel:
     def test_vacuum_becomes_thermal(self):
         # characteristic-function product: Phi_out = e^{-(1+t)|mu|^2/2},
         # a thermal state with nbar = t/2
-        from subplanck import make_thermal
-
         t = 1.0
         rho = average_channel(make_number(0, 8), t)
         ref = make_thermal(t / 2, rho.dim)
@@ -165,8 +165,6 @@ class TestAverageChannel:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_thermal_stays_thermal(self, t):
-        from subplanck import make_thermal
-
         rho = average_channel(make_thermal(0.5, 64), t)
         ref = make_thermal(0.5 + t / 2, rho.dim)
         assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-14
@@ -342,8 +340,7 @@ class TestConditionalOutput:
             conditional_output(coh, 0.5, ComplexAmplitude(30.0, 30.0))
 
     def test_one_coefficient_build_per_kernel(self, monkeypatch):
-        # the 759^2 input grid is filled in row blocks, all from one coefficient build,
-        # and equals one whole-grid evaluation
+        # the kernel builds its W^(s) matrix once; outcomes only add factors
         state = make_compass(2.0, 48)
         calls = []
         build = phasespace._coefficient_matrix
@@ -354,9 +351,34 @@ class TestConditionalOutput:
 
         monkeypatch.setattr(phasespace, "_coefficient_matrix", counting)
         kern = ConditionalKernel(state, 0.02)
+        for q in ((0.3, -0.2), (-1.0, 0.4)):
+            kern.evaluate(*q, 0.1)
         assert len(calls) == 1
-        assert kern.w_in.shape == (759, 759)
-        assert np.array_equal(kern.w_in, wigner_values(state, kern.in_grid.points()))
+        assert np.array_equal(kern.coeffs, phasespace._squasi_matrix(state, kern.order))
+
+    @pytest.mark.parametrize("t", [0.02, 0.5, 1.0])
+    def test_coherent_input_gives_coherent_output(self, coh, t):
+        # the output conditioned on xi is |xi + q (alpha - xi)>, q = (2 - t)/(2 + t)
+        xi = ComplexAmplitude(0.3, -0.2)
+        out = conditional_output(coh, t, xi)
+        q = (2.0 - t) / (2.0 + t)
+        center = xi.value + q * (ComplexAmplitude(1.0, 0.5).value - xi.value)
+        want = 2.0 / np.pi * np.exp(-2.0 * np.abs(out.points() - center) ** 2)
+        assert np.max(np.abs(out.values - want)) <= 1e-12
+
+    # the grid reference cuts its input grid at 1.2 L + 3/sqrt2, which costs the
+    # thermal input 1.3e-8 at t = 0.02; the cases stay where its quadrature is exact
+    @pytest.mark.parametrize("name,t", [
+        ("coherent", 0.02), ("compass2", 0.02), ("compass2", 0.5), ("random12", 1.0),
+        ("thermal", 0.5), ("thermal", 2.0),
+    ])
+    def test_matches_grid_quadrature(self, name, t):
+        state = make_thermal(0.5, 40) if name == "thermal" else MC_STATES[name]()
+        xi = ComplexAmplitude(0.3, -0.2)
+        out = conditional_output(state, t, xi)
+        p_xi = alice_outcome_density(state, t, xi)
+        ref = ref_conditional_grid(state, t, xi.q1, xi.q2, p_xi, out)
+        assert np.max(np.abs(out.values - ref)) <= 1e-9
 
 
 class TestMonteCarlo:
@@ -423,14 +445,6 @@ class TestBatchedMonteCarlo:
         single = mc_average(state, t, 30, make_rng(4), sampler=sampler)
         assert np.max(np.abs(default.grid.values - single.grid.values)) <= 1e-13
 
-    def test_input_factor_rank(self, coh):
-        left, _ = ConditionalKernel(coh, 1.0).input_factors()
-        assert left.shape[1] == 1
-        kern = ConditionalKernel(make_random(12, seed=4), 1.0)
-        left, right = kern.input_factors()
-        assert left.shape[1] <= 2 * 12 - 1
-        assert np.max(np.abs(left @ right.T - kern.w_in)) <= 1e-13 * np.max(np.abs(kern.w_in))
-
 
 class TestConditionalFidelity:
     def test_heterodyne_limit(self, coh):
@@ -470,7 +484,7 @@ class TestSubnormalFloor:
         # products on subnormal operands run far slower; the floor keeps them out
         state = make_compass(2.0, 48)
         kern = ConditionalKernel(state, t)
-        for a in kern.gaussian_factors(np.array([0.3, -1.1]), np.array([-0.2, 0.8])):
+        for a in kern.factors(np.array([0.3, -1.1]), np.array([-0.2, 0.8])):
             assert np.any(a == 0.0)
             assert np.all(np.abs(a[a != 0.0]) >= np.finfo(float).tiny)
 
