@@ -71,7 +71,6 @@ from .fidelity import (
     squeezed_fidelity,
 )
 from .protocol import (
-    EPRResource,
     OutcomeSample,
     OutcomeSampler,
     alice_outcome_density,

@@ -624,6 +624,8 @@ def main(argv=None) -> int:
                 raise ValidationFailure("--config needs a JSON file")
             argv = argv[:1] + _config_flags(argv[idx + 1]) + argv[1:]
         args = ap.parse_args(argv)
+        if getattr(args, "trunc", None) is not None and args.trunc < 1:
+            raise ValidationFailure("--trunc must be >= 1")
         return args.func(args)
     except (QuadratureError, SamplingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -252,6 +252,8 @@ def wavefunction_to_fock(psi: WaveFunction, dim=None):
     states occupy number levels well past their mean occupation.
     """
     auto = dim is None
+    if not auto and dim < 1:
+        raise ValueError(f"Fock dimension must be >= 1, got {dim}")
     if auto:
         dim = suggest_fock_dim(psi)
     while True:

@@ -210,7 +210,7 @@ def _m_seq(ds, counts, x):
     Yields M_n, n = 0 .. counts[0] - 1.  `counts` (iterates wanted per
     offset) must be nonincreasing: M_n holds only the leading rows with
     counts > n, so a call costs counts[0] Python steps.  The slabs are
-    read-only.
+    read-only and each is a fresh array, so a caller may keep them.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(ds, dtype=float)[:, None]
@@ -275,6 +275,8 @@ def hermite_rows(x, n_max):
     The orthonormal Hermite functions by their three-term recurrence,
     holding two rows at a time; `hermite_functions` stacks them.
     """
+    if n_max < 1:
+        return
     prev = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
     yield prev
     if n_max > 1:

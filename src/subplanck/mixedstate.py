@@ -7,7 +7,8 @@ Wigner product when the teleported state is mixed; for pure rho they
 factorize.  The outcome-averaged entanglement fidelity is evaluated two
 ways (the single-variable noise integral and the PHI(mu, mu) integral),
 whose agreement exercises the displacement-group orthogonality
-numerically.
+numerically.  PHI(mu, mu) is averaged over angle in closed form, so neither
+route has a dimension limit (`purify`, on the doubled space, has one).
 """
 
 from dataclasses import dataclass
@@ -21,11 +22,10 @@ from .fock import (
     PureState,
     _as_complex,
     _m_seq,
-    displacement_matrices,
     displacement_matrix,
     quad_moments,
 )
-from .phasespace import trimmed_support
+from .phasespace import CHUNK_ELEMENTS, state_diagonals
 
 DOUBLED_SPACE_LIMIT = 32
 
@@ -77,67 +77,55 @@ def bold_w(rho, beta, nu) -> float:
 # PHI(mu, mu) on quadrature nodes
 # ---------------------------------------------------------------------------
 
-def _bold_phi_diag_radial(probs, x):
-    """PHI(mu, mu) for diagonal rho: sum over |<m|D|n>|^2, radial only."""
-    dim = probs.size
-    ds = np.arange(dim)
-    pairs = np.where(ds > 0, 2.0, 1.0)  # (n+d, n) and (n, n+d) for d > 0
-    out = np.zeros_like(x)
-    for n, slab in enumerate(_m_seq(ds, dim - ds, x)):
-        k = slab.shape[0]
-        out += (pairs[:k] * probs[n : n + k] * probs[n]) @ (slab * slab)
-    return out
+def _bold_phi_radial(diags, x):
+    """Angular mean of PHI(mu, mu) on radial nodes x = |mu|^2, in closed form.
 
+    <m|D(mu)|n> = e^{i(m-n)phi} R_mn(x) with R real and |R| = M_n^(k)(x)
+    for the pair (n, n+k) in either order (`fock._m_seq`), so the mean
+    over phi keeps the terms of tr[rho D+ rho D] pairing equal offsets:
 
-def _bold_phi_equal_batch(evals, evecs, mus):
-    """PHI(mu, mu) = sum_ij lam_i lam_j |<v_i|D(mu)|v_j>|^2 for many mu."""
-    dim, chunk = evals.size, 256  # chunk: displacement matrices built at once
-    mus = np.asarray(mus, complex).ravel()
-    out = np.empty(mus.size)
-    for lo in range(0, mus.size, chunk):
-        batch = mus[lo : lo + chunk]
-        dmats = displacement_matrices(dim, batch)
-        x = np.einsum("ai,kab,bj->kij", np.conj(evecs), dmats, evecs, optimize=True)
-        out[lo : lo + chunk] = np.einsum(
-            "i,j,kij->k", evals, evals, np.abs(x) ** 2, optimize=True
-        ).real
+        <PHI>(x) = sum_{d,k>=0} c_d c_k sum_n Re(w_d[n] conj(w_d[n+k])) M_n^(k)(x) M_{n+d}^(k)(x),
+
+    c_0 = 1, c_{>0} = 2, over the trimmed diagonals [(d, w_d)] in
+    increasing d, w_d[n] = rho_{n+d,n}; a diagonal rho keeps only d = 0.
+    The slabs kept for the pairing hold at most CHUNK_ELEMENTS values.
+    """
+    dim = max(d + w.size for d, w in diags)
+    ks = np.arange(dim)
+    c_k = np.where(ks[None, :] > ks[:, None], 2.0, 1.0)  # at (n, n + k)
+    grams = [(2.0 if d else 1.0) * c_k[: w.size, : w.size] * np.real(np.outer(w, np.conj(w)))
+             for d, w in diags]  # G_d[n, n + k] = c_d c_k Re(w_d[n] conj(w_d[n + k]))
+    out = np.zeros(x.size)
+    block = max(1, CHUNK_ELEMENTS // (dim * (dim + 1) // 2))  # slabs kept per node
+    for lo in range(0, x.size, block):
+        acc = out[lo : lo + block]
+        slabs = []
+        for m, slab in enumerate(_m_seq(ks, dim - ks, x[lo : lo + block])):
+            slabs.append(slab)
+            for (d, w), g in zip(diags, grams):
+                n = m - d  # M_n pairs with M_{n+d} over k < w_d.size - n
+                if n < 0:
+                    break
+                if n < w.size:
+                    k = w.size - n
+                    acc += g[n, n:] @ (slabs[n][:k] * slab[:k])
     return out
 
 
 def entanglement_fidelity(rho, t) -> float:
     """Outcome-averaged entanglement fidelity, int d2mu Ptilde(mu) PHI(mu, mu).
 
-    Radial-angular quadrature exact for the truncated state, sized from
-    its trimmed Fock support like the pure-state forms; reduces to the
+    The angle is averaged in closed form (`_bold_phi_radial`); the radial
+    rule is sized from the trimmed Fock support, with the cross-check of
+    the pure-state forms, and there is no dimension limit.  Reduces to the
     ordinary average fidelity when rho is pure.
     """
-    rho = _as_density(rho)
     t = as_t(t)
     if t == 0:
         return 1.0
-    support = trimmed_support(rho)
-    mat = rho.matrix[:support, :support]
-    off_diag = np.max(np.abs(mat - np.diag(np.diagonal(mat))))
-    if off_diag < 1e-14:
-        probs = np.real(np.diagonal(mat))
-
-        def angular_mean(x, theta, wt):
-            return _bold_phi_diag_radial(probs, x)
-
-    else:
-        if rho.dim > DOUBLED_SPACE_LIMIT:
-            raise SubplanckError(
-                f"general mixed-state quadrature limited to dim <= {DOUBLED_SPACE_LIMIT}"
-            )
-        evals, evecs = np.linalg.eigh(mat)
-        evals = np.clip(evals, 0.0, None)
-
-        def angular_mean(x, theta, wt):
-            mus = np.sqrt(x)[:, None] * np.exp(1j * theta)[None, :]
-            return _bold_phi_equal_batch(evals, evecs, mus).reshape(mus.shape) @ wt
-
+    diags = state_diagonals(rho)
     return _sized_polar_quadrature(rho, 1.0 + t / 2.0, lambda x: np.exp(-t * x / 2.0), 1.0,
-                                   angular_mean)
+                                   lambda x, theta, wt: _bold_phi_radial(diags, x))
 
 
 def entanglement_fidelity_direct(rho, t) -> float:

@@ -21,9 +21,9 @@ block) costs K^2 n_y + K n_x n_y, a scattered one K^2 + K per point, and
 the point set itself picks the form.  Tables hold at most CHUNK_ELEMENTS
 values, products run on fixed coordinate tiles (so values do not depend on
 chunking), and product operands hold no magnitudes below 1e-100.  C~ costs
-O(D K^2) plus three K^3 products to build and is rebuilt on every call;
-for a few points on a large-support state (about 0.7 s at D = 296) that is
-dearer than a per-point radial kernel, for grids it is far cheaper.
+O(D K^2) plus three K^3 products to build and is rebuilt on every public
+call; for a few points on a large-support state (about 0.7 s at D = 296) that
+is dearer than a per-point radial kernel, for grids it is far cheaper.
 
 The same matrices give pi int (W^(s))^2 and int |grad W|^2 exactly, as
 Frobenius norms (`squasi_purity`, `wigner_gradient_norm`).
@@ -374,9 +374,8 @@ def _smoothing(s, k):
     return _floored(np.where((j >= i) & ((j - i) % 2 == 0), np.exp(log_t), 0.0))
 
 
-def _squasi_matrix(state, s):
-    """(2/sqrt pi) T^T C~ T, the K x K matrix of W^(s) (see squasi_values)."""
-    c = _coefficient_matrix(state)
+def _smoothed_matrix(c, s):
+    """(2/sqrt pi) T^T C~ T from C~, the K x K matrix of W^(s) (see squasi_values)."""
     if s != 0:
         t = _smoothing(s, c.shape[0])
         c = _floored(t.T @ c) @ t
@@ -385,7 +384,7 @@ def _squasi_matrix(state, s):
 
 def squasi_purity(state, s) -> float:
     """pi int d2a W^(s)(a)^2 = (1 - s) ||T^T C~ T||_F^2, exact as the h_j are orthonormal."""
-    m = _squasi_matrix(state, s)
+    m = _smoothed_matrix(_coefficient_matrix(state), s)
     return (1.0 - s) * (np.pi / 4.0) * float(np.sum(m * m))
 
 
@@ -394,7 +393,7 @@ def wigner_gradient_norm(state) -> float:
 
     Column j of Delta expands h_j' = r_{j-1} h_{j-1} - r_j h_{j+1}, r_j = sqrt((j+1)/2).
     """
-    c = _squasi_matrix(state, 0.0) * (np.sqrt(np.pi) / 2.0)
+    c = _smoothed_matrix(_coefficient_matrix(state), 0.0) * (np.sqrt(np.pi) / 2.0)
     r = np.sqrt(np.arange(1, c.shape[0] + 1) / 2.0)
     delta = (np.diag(r, 1) - np.diag(r, -1))[:, :-1]
     return (float(np.sum((delta @ c) ** 2)) + float(np.sum((c @ delta.T) ** 2))) / 2.0
@@ -407,7 +406,12 @@ def squasi_values(state, s, points):
     """
     if s > 0:
         raise ValueError("s > 0 distributions are singular and rejected")
-    mat = _squasi_matrix(state, s)
+    return _squasi_from(_coefficient_matrix(state), s, points)
+
+
+def _squasi_from(c, s, points):
+    """W^(s) at complex points from a state's C~, for callers that reuse one C~."""
+    mat = _smoothed_matrix(c, s)
     pts = np.asarray(points, dtype=complex)
     scale = 2.0 / np.sqrt(1.0 - s)
     return _separable_values(mat[None], scale * pts.real, scale * pts.imag)[0]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from . import phasespace
 from .errors import ConditioningError, SamplingError
 from .fidelity import as_t
 from .fock import (
@@ -39,7 +40,8 @@ from .phasespace import (
     CHUNK_ELEMENTS,
     PhaseGrid,
     _floored,
-    _squasi_matrix,
+    _smoothed_matrix,
+    _squasi_from,
     fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
     squasi_values,
     state_diagonals,
@@ -51,17 +53,6 @@ DENSITY_GRID_SIGMAS = 6.0
 _CHANNEL_TAIL = 1e-15
 # Smallest outcome probability the sampler's grid must capture.
 SAMPLER_MIN_MASS = 0.999
-
-
-@dataclass(frozen=True)
-class EPRResource:
-    """Two-mode squeezed resource parametrized by t = 2 e^{-2r}."""
-
-    t: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -244,8 +235,9 @@ class ConditionalKernel:
         p(xi) W(b | xi) = (-2s/pi) e^{s |b - x|^2} W^(s)((x + kappa (b - x))/sqrt2),
 
     with s = -4t/(4 + t^2) and kappa = (4 - t^2)/(4 + t^2).  Both factors
-    separate per quadrature, so with the K x K matrix N of W^(s)
-    (`phasespace._squasi_matrix`, built once per kernel) an outcome's grid
+    separate per quadrature, so with the K x K matrix N of W^(s) (`coeffs`,
+    smoothed from the input's C~, `ctilde`, which is built once per kernel
+    and also gives p(xi) and the conditional fidelities) an outcome's grid
     is L @ N @ R.T times -2s/(pi p(xi)), where L and R hold Hermite
     functions at sqrt(2/(1 - s)) (x + kappa (b - x)) on each output axis
     times e^{s (b - x)^2} (`factors`).  Factor entries below 1e-100 are
@@ -260,7 +252,8 @@ class ConditionalKernel:
             raise ValueError("conditional outputs require t > 0")
         self.order = -4.0 * t / (4.0 + t * t)
         self.kappa = (4.0 - t * t) / (4.0 + t * t)
-        self.coeffs = _squasi_matrix(state, self.order)
+        self.ctilde = phasespace._coefficient_matrix(state)
+        self.coeffs = _smoothed_matrix(self.ctilde, self.order)
         mx, mp, vx, vp = quad_moments(state)
         hw = (1.2 * 2.0 * np.sqrt(vx + vp) + 3.0 / np.sqrt(2.0)
               + 4.0 * np.sqrt(max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t)))
@@ -295,9 +288,8 @@ def conditional_output(state, t, xi) -> PhaseGrid:
     kern = ConditionalKernel(state, t)
     xi_c = _as_complex(xi)
     xi1, xi2 = np.sqrt(2.0) * xi_c.real, np.sqrt(2.0) * xi_c.imag
-    p_xi = alice_outcome_density(state, t, xi)
-    vals = kern.evaluate(xi1, xi2, p_xi)
-    return kern.out_grid.with_values(vals)
+    p_xi = float(_squasi_from(kern.ctilde, _outcome_order(as_t(t)), np.array(xi_c)))
+    return kern.out_grid.with_values(kern.evaluate(xi1, xi2, p_xi))
 
 
 @dataclass
@@ -323,9 +315,14 @@ def conditional_fidelity(state, t, xi) -> np.ndarray:
     t = as_t(t)
     if t <= 0:
         raise ValueError("conditional_fidelity needs t > 0")
-    p = squasi_values(state, _outcome_order(t), xi)
+    return _fidelity_from(phasespace._coefficient_matrix(state), t, xi)
+
+
+def _fidelity_from(ctilde, t, xi):
+    """conditional_fidelity from the input's C~ (t > 0)."""
+    p = _squasi_from(ctilde, _outcome_order(t), xi)
     _check_conditioning(p)
-    return 2.0 * np.pi / t * squasi_values(state, -2.0 / t, xi) ** 2 / p
+    return 2.0 * np.pi / t * _squasi_from(ctilde, -2.0 / t, xi) ** 2 / p
 
 
 def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
@@ -350,7 +347,7 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
     xi1s, xi2s, dens = sampler.sample(rng, samples)
     _check_conditioning(dens)
     if isinstance(state, PureState):
-        fids = conditional_fidelity(state, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
+        fids = _fidelity_from(kern.ctilde, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     else:
         fids = np.full(samples, np.nan)
     n1, n2 = kern.out_grid.resolution

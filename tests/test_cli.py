@@ -119,6 +119,10 @@ MALFORMED = {
                          "--grid-extent", "0", "--out", "{tmp}/g.csv"],
     "negative grid extent": ["grid", "--state", "coherent", "--grid-res", "9",
                              "--grid-extent", "-2", "--out", "{tmp}/g.csv"],
+    "zero trunc": ["fidelity-curve", "--state", "coherent", "--trunc", "0",
+                   "--out", "{tmp}/f.csv"],
+    "zero evolve trunc": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--trunc", "0",
+                          "--out-prefix", "{tmp}/e"],
 }
 
 

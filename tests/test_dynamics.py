@@ -24,6 +24,7 @@ from subplanck.dynamics import (
     hermite_functions,
     split_step_evolve,
 )
+from subplanck.fock import hermite_rows
 
 
 SMALL = SpatialGrid(-20.0, 20.0, 1024)
@@ -185,6 +186,16 @@ class TestFockProjection:
         basis = hermite_functions(SMALL.x, 30)
         gram = basis @ basis.T * SMALL.dx
         assert np.max(np.abs(gram - np.eye(30))) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    def test_hermite_rows_yield_n_max_rows(self, n_max):
+        assert len(list(hermite_rows(SMALL.x, n_max))) == n_max
+        assert hermite_functions(SMALL.x, n_max).shape == (n_max, SMALL.x.size)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_nonpositive_dim_rejected(self, dim):
+        with pytest.raises(ValueError):
+            wavefunction_to_fock(coherent_wavefunction(0.0, 0.0, SMALL), dim)
 
     def test_leakage_error_with_explicit_dim(self):
         w = coherent_wavefunction(-8.0, 4.0, SpatialGrid())

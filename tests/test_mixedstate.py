@@ -26,11 +26,13 @@ from subplanck import (
     wigner,
 )
 from subplanck.mixedstate import sqrt_density
+from subplanck.phasespace import state_diagonals, trimmed_support
 
 
-def random_mixed(dim, seed):
+def random_mixed(dim, seed, rank=None):
     rng = make_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = (dim, rank or dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     m = z @ z.conj().T
     return DensityOp(m / np.real(np.trace(m)))
 
@@ -175,11 +177,45 @@ class TestEntanglementFidelity:
                 b = entanglement_fidelity_direct(rho, t)
                 assert a == pytest.approx(b, abs=1e-6)
 
+    @pytest.mark.parametrize("state", ["pure", "density"])
+    def test_coherent_beyond_dim_32(self, state):
+        st = make_coherent(ComplexAmplitude(1.0, -0.5), 64)
+        rho = st if state == "pure" else st.density()
+        for t in (0.5, 1.0, 2.0):
+            assert abs(entanglement_fidelity(rho, t) - coherent_fidelity(t)) <= 1e-12
+
+    def test_rank5_dim100_two_routes(self):
+        rho = random_mixed(100, 8, rank=5)
+        for t in (0.5, 1.0):
+            a = entanglement_fidelity(rho, t)
+            assert abs(a - entanglement_fidelity_direct(rho, t)) <= 1e-12
+
+    def test_radial_mean_is_angular_average_of_bold_phi(self):
+        # 2D - 1 equally spaced angles average every harmonic |k| <= 2(D - 1) exactly
+        rho = random_mixed(12, 13, rank=3)
+        diags = state_diagonals(rho)
+        support = trimmed_support(rho)
+        xs = np.array([0.3, 1.7, 6.0])
+        got = mixedstate_module._bold_phi_radial(diags, xs)
+        angles = 2 * np.pi * np.arange(2 * support - 1) / (2 * support - 1)
+        for x, g in zip(xs, got):
+            mus = np.sqrt(x) * np.exp(1j * angles)
+            want = np.mean([bold_phi(rho, mu, mu).real for mu in mus])
+            assert abs(g - want) <= 1e-13
+
+    def test_node_blocks_do_not_change_values(self, monkeypatch):
+        cases = [make_thermal(1.0, 64), random_mixed(20, 3, rank=4),
+                 make_coherent(ComplexAmplitude(1.0, -0.5), 40)]
+        want = [entanglement_fidelity(rho, 0.7) for rho in cases]
+        monkeypatch.setattr(mixedstate_module, "CHUNK_ELEMENTS", 1)  # one node per block
+        for rho, w in zip(cases, want):
+            assert abs(entanglement_fidelity(rho, 0.7) - w) <= 1e-15
+
     @pytest.mark.parametrize(
         "route, module, name, rho, support",
         [
-            ("diagonal", mixedstate_module, "_bold_phi_diag_radial", make_thermal(2.0, 64), 64),
-            ("general", mixedstate_module, "_bold_phi_equal_batch",
+            ("diagonal", mixedstate_module, "_bold_phi_radial", make_thermal(2.0, 64), 64),
+            ("general", mixedstate_module, "_bold_phi_radial",
              make_coherent(ComplexAmplitude(0.3, 0.2), 24).density(), 18),
             ("direct", fidelity_module, "char_on_polar", make_thermal(2.0, 64), 64),
         ],
@@ -199,10 +235,7 @@ class TestEntanglementFidelity:
         fn = entanglement_fidelity_direct if route == "direct" else entanglement_fidelity
         with pytest.raises(QuadratureError):
             fn(rho, 1.0)
-        if route == "general":  # one (radial x angular) batch of displacements per rule
-            assert calls == [support * (2 * support - 1), (support + 1) * (2 * support + 1)]
-        else:
-            assert calls == [support, support + 1]
+        assert calls == [support, support + 1]
 
     def test_perfect_at_zero(self):
         assert entanglement_fidelity(make_thermal(1.0, 64), 0.0) == 1.0

@@ -354,7 +354,26 @@ class TestConditionalOutput:
         for q in ((0.3, -0.2), (-1.0, 0.4)):
             kern.evaluate(*q, 0.1)
         assert len(calls) == 1
-        assert np.array_equal(kern.coeffs, phasespace._squasi_matrix(state, kern.order))
+        assert np.array_equal(kern.coeffs, phasespace._smoothed_matrix(build(state), kern.order))
+
+    @pytest.mark.parametrize("call", ["mc_average", "conditional_output"])
+    def test_one_coefficient_build_per_protocol_call(self, monkeypatch, call):
+        # C~ serves the kernel matrix, p(xi) and both fidelity orders
+        state, t = make_compass(2.0, 48), 0.5
+        sampler = OutcomeSampler(state, t)
+        calls = []
+        build = phasespace._coefficient_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(phasespace, "_coefficient_matrix", counting)
+        if call == "mc_average":
+            mc_average(state, t, 20, make_rng(2), sampler=sampler)
+        else:
+            conditional_output(state, t, ComplexAmplitude(0.3, -0.2))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("t", [0.02, 0.5, 1.0])
     def test_coherent_input_gives_coherent_output(self, coh, t):
