@@ -260,13 +260,20 @@ print("wrote", {png!r})
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_fidelity_curve(args):
-    spec = StateSpec.parse(args.state, args.trunc)
+def _t_samples(args):
+    """The --t-steps values from --t-min to --t-max, checked before any work or output."""
     if args.t_steps < 1:
         raise ValidationFailure("--t-steps must be >= 1")
-    if not (0 <= args.t_min < args.t_max) and args.t_steps != 1:
+    if not (np.isfinite(args.t_min) and np.isfinite(args.t_max)):
+        raise ValidationFailure("t-min and t-max must be finite")
+    if not (0 <= args.t_min < args.t_max or (args.t_steps == 1 and args.t_min >= 0)):
         raise ValidationFailure("need 0 <= t-min < t-max")
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    return np.linspace(args.t_min, args.t_max, args.t_steps)
+
+
+def cmd_fidelity_curve(args):
+    spec = StateSpec.parse(args.state, args.trunc)
+    ts = _t_samples(args)
     state = spec.build()
     closed = spec.closed_form()
     if isinstance(state, DensityOp):
@@ -400,9 +407,9 @@ def cmd_teleport_mc(args):
 
 
 def cmd_random_average(args):
-    if args.samples < 2 or args.t_steps < 1:
-        raise ValidationFailure("need --samples >= 2 (for a standard error) and --t-steps >= 1")
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    if args.samples < 2:
+        raise ValidationFailure("need --samples >= 2 (for a standard error)")
+    ts = _t_samples(args)
     rng = make_rng(args.seed)
     states = [make_random(args.dim, rng=rng) for _ in range(args.samples)]
     rows = []
@@ -417,8 +424,9 @@ def cmd_random_average(args):
 
 
 def cmd_evolve(args):
-    if args.t_steps < 1 or args.snapshot_stride < 0:
-        raise ValidationFailure("need --t-steps >= 1 and --snapshot-stride >= 0")
+    if args.snapshot_stride < 0:
+        raise ValidationFailure("need --snapshot-stride >= 0")
+    ts = _t_samples(args)
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
@@ -459,7 +467,6 @@ def cmd_evolve(args):
     target = vx + vp
     cand = np.arange(1, 400)
     matched = int(cand[np.argmin(np.abs((cand**2 + 1.0) / (cand + 1.0) - target))])
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rows = []
     for t in ts:
         rows.append((

@@ -1,12 +1,15 @@
 """Average teleportation fidelity, closed forms, and scale measures.
 
 The primary quadrature route (form 4) integrates the Gaussian-damped
-squared characteristic function in radial-angular form, which is exact
-(up to roundoff) for any Fock-truncated state once the node counts pass
-the truncation, so node counts are set from the state's support; forms
-1-3 are retained as consistency oracles.  Form 1 shares the radial
-machinery with a different damping; forms 2 and 3, pi int Q^2 and the
-gradient slope are exact Hermite-basis traces (`phasespace.squasi_purity`).
+squared characteristic function in radial-angular form.  The angle is
+done exactly by Parseval (`phasespace._char_sq_radial`), and the radial
+Gauss-Laguerre rule is exact (up to roundoff) for any Fock-truncated state
+once its node count reaches the truncation, so it is sized from the
+state's support; both the rule and its one-node-larger cross-check run in
+one pass of the radial recurrence.  Form 1 shares that path with a
+different damping, as does the entanglement fidelity of `mixedstate`;
+forms 2 and 3, pi int Q^2 and the gradient slope are exact Hermite-basis
+traces (`phasespace.squasi_purity`).
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from scipy.special import gammaln
 
 from .errors import QuadratureError
 from .fock import PureState, _noise_kernel, quad_moments
-from .phasespace import char_on_polar, squasi_purity, trimmed_support, wigner_gradient_norm
+from .phasespace import _char_sq_radial, squasi_purity, state_diagonals, wigner_gradient_norm
 from .quadrature import polar_rule
 
 
@@ -27,8 +30,7 @@ class SqueezeParam:
     t: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        as_t(self.t)
 
     @property
     def r(self) -> float:
@@ -47,8 +49,8 @@ class SqueezeParam:
 
 def as_t(t) -> float:
     t = t.t if isinstance(t, SqueezeParam) else float(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     return t
 
 
@@ -101,28 +103,30 @@ class ScaleReport:
 # quadrature forms
 # ---------------------------------------------------------------------------
 
-def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean):
+def _sized_polar_quadrature(state, decay, damping, prefactor, radial_mean):
     """prefactor * int (d2mu/pi) damping(x) f(mu), x = |mu|^2, sized from the support.
 
-    `angular_mean(x, theta, wtheta)` returns the angular average of f on
-    each radial node.  `damping` must be a pure exponential e^{-a x} and
-    `decay` = 1 + a the total radial decay rate it makes with the e^{-x}
-    that f carries as a quadratic form in displacement elements of the
-    state, so the Gauss-Laguerre rule sees e^{-decay x} times a
-    polynomial.  With D = 1 + the highest Fock index the trimmed
-    diagonals keep, that polynomial has, after the angular average,
-    degree <= 2(D-1) in x, and its angular harmonics satisfy
-    |k| <= 2(D-1); D radial and 2D-1 angular nodes integrate it exactly,
-    and the estimate comes from that rule.  A rule one radial and two
-    angular nodes larger cross-checks it: if the two differ by more than
-    1e-8 (relative, floored at 1), QuadratureError is raised.
+    `radial_mean(diags, x)` returns the exact angular mean of f on radial
+    nodes x from the state's trimmed diagonals (`state_diagonals`).
+    `damping` must be a pure exponential e^{-a x} and `decay` = 1 + a the
+    total radial decay rate it makes with the e^{-x} that f carries as a
+    quadratic form in displacement elements of the state, so the
+    Gauss-Laguerre rule sees e^{-decay x} times a polynomial.  With D = 1 +
+    the highest Fock index the trimmed diagonals keep, that polynomial has,
+    after the angular mean, degree <= 2(D-1) in x, so D radial nodes
+    integrate it exactly, and the estimate comes from that rule.  The rule
+    one node larger cross-checks it: if the two differ by more than 1e-8
+    (relative, floored at 1), QuadratureError is raised.  Both rules' nodes
+    go through one `radial_mean` call, on one extraction of the diagonals.
     """
-    support = trimmed_support(state)
-    est = []
-    for n_rad, n_ang in ((support, 2 * support - 1), (support + 1, 2 * support + 1)):
-        x, theta, wx, wt = polar_rule(decay, n_rad, n_ang)
-        radial = angular_mean(x, theta, wt)
-        est.append(prefactor * float(np.sum(wx * damping(x) * radial)))
+    diags = state_diagonals(state)
+    support = max(d + w.size for d, w in diags)
+    # only the rules' radial parts: radial_mean takes the angle exactly
+    rules = [polar_rule(decay, n, 2 * n - 1) for n in (support, support + 1)]
+    x = np.concatenate([rule[0] for rule in rules])
+    wx = np.concatenate([rule[2] for rule in rules])
+    terms = wx * damping(x) * radial_mean(diags, x)
+    est = [prefactor * float(np.sum(part)) for part in np.split(terms, [support])]
     if abs(est[1] - est[0]) > 1e-8 * max(1.0, abs(est[0])):
         raise QuadratureError(
             f"polar quadrature estimates disagree: {est[0]!r} vs {est[1]!r}"
@@ -132,18 +136,15 @@ def _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean):
 
 def _char_sq_quadrature(state, decay, damping, prefactor):
     """prefactor * int (d2mu/pi) damping(x) |Phi|^2, x = |mu|^2 (see above)."""
-
-    def angular_mean(x, theta, wt):
-        phi = char_on_polar(state, x, theta)
-        return np.sum(np.abs(phi) ** 2 * wt[None, :], axis=1)
-
-    return _sized_polar_quadrature(state, decay, damping, prefactor, angular_mean)
+    return _sized_polar_quadrature(state, decay, damping, prefactor, _char_sq_radial)
 
 
 def fidelity_quadrature(state, t, form=4):
     """Average fidelity of a pure state by one of the four integral forms."""
     if not isinstance(state, PureState):
         raise TypeError("fidelity_quadrature expects a pure state")
+    if form not in (1, 2, 3, 4):
+        raise ValueError("form must be 1, 2, 3 or 4")
     t = as_t(t)
     if t == 0:
         return 1.0
@@ -155,9 +156,8 @@ def fidelity_quadrature(state, t, form=4):
         )
     if form == 3:  # pi int W W^(-t) = pi int (W^(-t/2))^2
         return squasi_purity(state, -t / 2.0)
-    if form == 2:  # t F(t) / 2 = F(4/t), term by term
-        return (2.0 / t) * squasi_purity(state, -2.0 / t)
-    raise ValueError("form must be 1, 2, 3 or 4")
+    # form 2: t F(t) / 2 = F(4/t), term by term
+    return (2.0 / t) * squasi_purity(state, -2.0 / t)
 
 
 def classical_fidelity(state) -> float:

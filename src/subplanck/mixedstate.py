@@ -25,7 +25,7 @@ from .fock import (
     displacement_matrix,
     quad_moments,
 )
-from .phasespace import CHUNK_ELEMENTS, state_diagonals
+from .phasespace import CHUNK_ELEMENTS
 
 DOUBLED_SPACE_LIMIT = 32
 
@@ -123,9 +123,8 @@ def entanglement_fidelity(rho, t) -> float:
     t = as_t(t)
     if t == 0:
         return 1.0
-    diags = state_diagonals(rho)
     return _sized_polar_quadrature(rho, 1.0 + t / 2.0, lambda x: np.exp(-t * x / 2.0), 1.0,
-                                   lambda x, theta, wt: _bold_phi_radial(diags, x))
+                                   _bold_phi_radial)
 
 
 def entanglement_fidelity_direct(rho, t) -> float:

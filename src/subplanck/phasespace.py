@@ -31,7 +31,9 @@ Frobenius norms (`squasi_purity`, `wigner_gradient_norm`).
 The characteristic function on polar quadrature nodes (`char_on_polar`)
 keeps the offset-diagonal form: a sum over offsets d of scaled Laguerre
 recurrences from `fock`, one slab over all offsets and nodes per step,
-times angular phases e^{i d phi}.
+times angular phases e^{i d phi}.  Those radial rows also give the exact
+angular mean of |Phi|^2 by Parseval (`_char_sq_radial`), which is all that
+fidelity forms 1 and 4 need: one kernel pass over radial nodes only.
 """
 
 import weakref
@@ -202,6 +204,26 @@ def _radial_sums(diags, slabs, npts):
     out = np.empty_like(acc)
     out[order] = acc
     return out
+
+
+def _offset_rows(diags, x):
+    """q[i](x) = sum_n w_i[n] M_n^(d_i)(x): Phi = q_0 + sum_{d>0} ((-1)^d e^{-id phi} q_d + c.c.)."""
+    return _radial_sums(diags, lambda ds, counts: _m_seq(ds, counts, x), x.size)
+
+
+def _char_sq_radial(diags, x):
+    """Angular mean of |Phi|^2 on radial nodes x = |mu|^2, by Parseval.
+
+    <m|D(mu)|n> = e^{i(m-n)phi} R_mn(x) with R real (Cahill & Glauber 1969),
+    so Phi(sqrt(x) e^{i phi}) has harmonics e^{-i d phi} (-1)^d q_d and
+    e^{i d phi} conj(q_d) (`_offset_rows`), and the mean over phi is
+    |q_0|^2 + 2 sum_{d>0} |q_d|^2: one kernel pass and no angular nodes.
+    It equals the mean over any 2D - 1 or more equally spaced angles,
+    because |Phi|^2 has harmonics |k| <= 2(D - 1) only.
+    """
+    q = _offset_rows(diags, x)
+    c_d = np.array([2.0 if d else 1.0 for d, _ in diags])
+    return c_d @ (q.real**2 + q.imag**2)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +461,16 @@ def char_on_polar(state, x, theta):
 
     Returns a (len(x), len(theta)) complex array; the radial and angular
     structures separate, so this costs one kernel pass over the radial
-    nodes and one small matrix product.
+    nodes and one small matrix product.  The fidelity forms need only the
+    angular mean of |Phi|^2, which `_char_sq_radial` takes from the same
+    radial rows without the angles; this is its reference.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     diags = state_diagonals(state)
     ds = np.array([d for d, _ in diags])
     q = np.zeros((ds[-1] + 1, x.size), dtype=complex)
-    q[ds] = _radial_sums(diags, lambda ds, counts: _m_seq(ds, counts, x), x.size)
+    q[ds] = _offset_rows(diags, x)
     ds = np.arange(q.shape[0])
     e_plus = np.exp(1j * np.outer(theta, ds))  # (M, D)
     signs = (-1.0) ** ds

@@ -35,6 +35,25 @@ def rng():
     return np.random.default_rng(2024)
 
 
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count_calls(name) wraps every package module's binding of `name`; returns the call list."""
+
+    def install(name):
+        calls = []
+        for module in [m for key, m in sys.modules.items() if key.startswith("subplanck.")]:
+            real = vars(module).get(name)
+            if callable(real):
+                def counted(*args, _real=real, **kwargs):
+                    calls.append(args)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 _acceptance_lines = []
 
 

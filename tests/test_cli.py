@@ -123,6 +123,11 @@ MALFORMED = {
                    "--out", "{tmp}/f.csv"],
     "zero evolve trunc": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--trunc", "0",
                           "--out-prefix", "{tmp}/e"],
+    "infinite random t-max": ["random-average", "--dim", "2", "--t-max", "inf",
+                              "--out", "{tmp}/r.csv"],
+    "nan evolve t-max": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--t-max", "nan",
+                         "--out-prefix", "{tmp}/e"],
+    "nan t": ["teleport-mc", "--state", "coherent", "--t", "nan", "--out", "{tmp}/m.csv"],
 }
 
 

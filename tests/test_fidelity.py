@@ -40,6 +40,7 @@ from subplanck import (
     squeezed_fidelity,
 )
 import subplanck.fidelity as fidelity_module
+from subplanck.fidelity import as_t
 from subplanck.quadrature import gauss_laguerre_scaled
 
 
@@ -53,6 +54,15 @@ class TestSqueezeParam:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SqueezeParam(-0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, t):
+        with pytest.raises(ValueError):
+            SqueezeParam(t)
+        with pytest.raises(ValueError):
+            as_t(t)
+        with pytest.raises(ValueError):
+            fidelity_quadrature(make_number(1, 4), t)
 
 
 class TestQuadratureForms:
@@ -119,26 +129,35 @@ class TestQuadratureForms:
                 ref_fidelity_form4(st.coeffs, t), abs=1e-7
             )
 
-    def test_bad_form(self):
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_bad_form(self, t):
         with pytest.raises(ValueError):
-            fidelity_quadrature(make_number(0, 4), 1.0, 5)
+            fidelity_quadrature(make_number(0, 4), t, 5)
 
     @pytest.mark.parametrize("form", [1, 4])
     def test_disagreeing_cross_check_raises(self, monkeypatch, form):
-        # the second (cross-check) rule sees a corrupted |Phi|; the first
-        # estimate must not be returned unchecked
-        real = fidelity_module.char_on_polar
+        # one kernel call takes both rules' nodes; only the cross-check rule's
+        # slice is corrupted, and the first estimate must not be returned unchecked
+        real = fidelity_module._char_sq_radial
         calls = []
 
-        def corrupted(state, x, theta):
+        def corrupted(diags, x):
             calls.append(len(x))
-            phi = real(state, x, theta)
-            return phi if len(calls) == 1 else 1.01 * phi
+            out = real(diags, x)
+            out[2:] *= 1.01  # the D = 2 estimate's nodes come first
+            return out
 
-        monkeypatch.setattr(fidelity_module, "char_on_polar", corrupted)
+        monkeypatch.setattr(fidelity_module, "_char_sq_radial", corrupted)
         with pytest.raises(QuadratureError):
             fidelity_quadrature(make_number(1, 8), 1.0, form)
-        assert calls == [2, 3]  # sized from the support of |1>, then one node more
+        assert calls == [2 + 3]  # D = 2 from the support of |1>, then the D + 1 rule
+
+    @pytest.mark.parametrize("form", [1, 4])
+    @pytest.mark.parametrize("name", ["number3", "coherent", "squeezed", "compass", "random20"])
+    def test_one_diagonal_and_one_radial_pass(self, catalog, count_calls, name, form):
+        diagonals, radial = count_calls("state_diagonals"), count_calls("_m_seq")
+        fidelity_quadrature(catalog[name], 0.7, form)
+        assert (len(diagonals), len(radial)) == (1, 1)
 
 
 class TestLaguerreRule:

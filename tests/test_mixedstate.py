@@ -217,25 +217,36 @@ class TestEntanglementFidelity:
             ("diagonal", mixedstate_module, "_bold_phi_radial", make_thermal(2.0, 64), 64),
             ("general", mixedstate_module, "_bold_phi_radial",
              make_coherent(ComplexAmplitude(0.3, 0.2), 24).density(), 18),
-            ("direct", fidelity_module, "char_on_polar", make_thermal(2.0, 64), 64),
+            ("direct", fidelity_module, "_char_sq_radial", make_thermal(2.0, 64), 64),
         ],
     )
     def test_sized_from_support_with_cross_check(self, monkeypatch, route, module, name, rho,
                                                  support):
-        # D radial nodes from the trimmed support, then a raising D+1 cross-check
+        # D radial nodes from the trimmed support, then a raising D+1 cross-check,
+        # both in one kernel call whose cross-check slice alone is corrupted
         real = getattr(module, name)
         calls = []
 
-        def corrupted(*args):
-            out = real(*args)
+        def corrupted(diags, x):
+            out = real(diags, x)
             calls.append(out.shape[0])
-            return out if len(calls) == 1 else 1.01 * out
+            out[support:] *= 1.01
+            return out
 
         monkeypatch.setattr(module, name, corrupted)
         fn = entanglement_fidelity_direct if route == "direct" else entanglement_fidelity
         with pytest.raises(QuadratureError):
             fn(rho, 1.0)
-        assert calls == [support, support + 1]
+        assert calls == [2 * support + 1]
+
+    @pytest.mark.parametrize("fn", [entanglement_fidelity, entanglement_fidelity_direct])
+    def test_one_diagonal_and_one_radial_pass(self, count_calls, fn):
+        # thermal nbar = 1 keeps D = 59 at dim 64, so all 2D + 1 nodes fit one node block
+        for rho in (make_thermal(1.0, 64), random_mixed(20, 3, rank=4),
+                    make_coherent(ComplexAmplitude(1.0, -0.5), 40).density()):
+            diagonals, radial = count_calls("state_diagonals"), count_calls("_m_seq")
+            fn(rho, 0.7)
+            assert (len(diagonals), len(radial)) == (1, 1)
 
     def test_perfect_at_zero(self):
         assert entanglement_fidelity(make_thermal(1.0, 64), 0.0) == 1.0

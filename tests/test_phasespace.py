@@ -19,6 +19,7 @@ import subplanck.phasespace as phasespace_module
 
 from subplanck import (
     ComplexAmplitude,
+    DensityOp,
     GridResolutionError,
     OrderParam,
     char_fn,
@@ -31,6 +32,8 @@ from subplanck import (
     make_compass,
     make_number,
     make_random,
+    make_rng,
+    make_squeezed,
     make_thermal,
     overlap,
     s_ordered_char,
@@ -90,6 +93,25 @@ class TestCharFn:
         x, theta, _, _ = polar_rule(1.5, support, 2 * support - 1)
         want = ref_char_on_polar(state_diagonals(st), x, theta)
         assert np.array_equal(char_on_polar(st, x, theta), want)
+
+    @pytest.mark.parametrize("name", ["random20", "compass2", "squeezed0.8", "rank3"])
+    def test_parseval_mean_is_angular_mean(self, name):
+        # 2D - 1 equally spaced angles average every harmonic |k| <= 2(D - 1) of |Phi|^2 exactly
+        if name == "rank3":
+            rng = make_rng(13)
+            z = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+            st = DensityOp(z @ z.conj().T / np.sum(np.abs(z) ** 2))
+        else:
+            st = {"random20": lambda: make_random(20, seed=17),
+                  "compass2": lambda: make_compass(2.0, 48),
+                  "squeezed0.8": lambda: make_squeezed(0.8, 64)}[name]()
+        diags = state_diagonals(st)
+        support = max(d + w.size for d, w in diags)
+        theta = 2 * np.pi * np.arange(2 * support - 1) / (2 * support - 1)
+        x = np.array([0.3, 1.7, 6.0])
+        want = np.mean(np.abs(char_on_polar(st, x, theta)) ** 2, axis=1)
+        got = phasespace_module._char_sq_radial(diags, x)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestSOrderedChar:
