@@ -49,7 +49,7 @@ from .fock import (
     make_thermal,
     quad_moments,
 )
-from .mixedstate import entanglement_fidelity, mixed_scale_report
+from .mixedstate import entanglement_fidelity
 from .phasespace import (
     PhaseGrid,
     char_values,
@@ -135,6 +135,8 @@ class StateSpec:
                     num = float(val)
                 except ValueError:
                     raise ValidationFailure(f"{kind}:{key} needs a number, got {val!r}") from None
+                if not np.isfinite(num):
+                    raise ValidationFailure(f"{kind}:{key} must be finite, got {val!r}")
                 if isinstance(params[key], int):
                     if not num.is_integer():
                         raise ValidationFailure(f"{kind}:{key} must be an integer, got {val!r}")
@@ -306,12 +308,7 @@ def cmd_fidelity_curve(args):
 
 def cmd_scales(args):
     spec = StateSpec.parse(args.state, args.trunc)
-    state = spec.build()
-    if isinstance(state, DensityOp):
-        rep = mixed_scale_report(state, label=spec.descriptor)
-    else:
-        rep = scale_report(state, label=spec.descriptor)
-    doc = rep.as_dict()
+    doc = scale_report(spec.build(), label=spec.descriptor).as_dict()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -375,8 +372,6 @@ def cmd_grid(args):
 def cmd_teleport_mc(args):
     spec = StateSpec.parse(args.state, args.trunc)
     state = spec.build()
-    if isinstance(state, DensityOp):
-        raise ValidationFailure("teleport-mc expects a pure input state")
     rng = make_rng(args.seed)
     sampler = OutcomeSampler(state, args.t)
     result = mc_average(state, args.t, args.samples, rng, sampler=sampler)

@@ -299,9 +299,13 @@ def slope_at_zero(state, route="variance") -> float:
 
 
 def scale_report(state, label="") -> ScaleReport:
-    """Critical squeezing and the reciprocal fine/large scales of a pure state."""
-    if not isinstance(state, PureState):
-        raise TypeError("scale_report expects a pure state; see mixedstate for rho")
+    """Critical squeezing and the reciprocal fine/large scales of a state of either kind.
+
+    All four follow from the quadrature variances: the slope dF/dt at
+    t = 0 is -(var x + var p)/2 for pure inputs and for the entanglement
+    fidelity of mixed ones, t_crit = 1/|slope|, fine scale sqrt(t_crit/2)
+    and extent 2 sqrt(var x + var p), so fine scale * extent = 2.
+    """
     _, _, vx, vp = quad_moments(state)
     slope0 = -(vx + vp) / 2.0
     t_crit = 1.0 / abs(slope0)

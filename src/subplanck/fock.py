@@ -97,6 +97,8 @@ class PureState:
         c = np.asarray(coeffs, dtype=complex).copy()
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a nonempty 1-D vector")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         if normalize:
             nrm = np.linalg.norm(c)
             if nrm == 0:
@@ -116,6 +118,11 @@ class PureState:
 
     def density(self) -> "DensityOp":
         return DensityOp(np.outer(self.coeffs, self.coeffs.conj()), validate=False)
+
+    def diagonal(self, d) -> np.ndarray:
+        """w_d[n] = rho_{n+d, n} = c_{n+d} conj(c_n) for offset d >= 0 (a fresh array)."""
+        c = self.coeffs
+        return c[d:] * np.conj(c[: c.size - d])
 
     def padded(self, dim) -> "PureState":
         if dim < self.dim:
@@ -137,6 +144,8 @@ class DensityOp:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if validate:
+            if not np.all(np.isfinite(m)):
+                raise ValueError("matrix entries must be finite")
             herm = np.max(np.abs(m - m.conj().T))
             if herm > 1e-12:
                 raise ValueError(f"matrix not Hermitian (deviation {herm:.3e})")
@@ -154,6 +163,13 @@ class DensityOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def density(self) -> "DensityOp":
+        return self
+
+    def diagonal(self, d) -> np.ndarray:
+        """w_d[n] = rho_{n+d, n} for offset d >= 0 (a fresh array)."""
+        return np.diagonal(self.matrix, offset=-d).copy()
+
     def padded(self, dim) -> "DensityOp":
         if dim < self.dim:
             raise ValueError("cannot shrink an operator")
@@ -170,8 +186,8 @@ class ThermalParams:
     lam: float
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError("nbar must be >= 0")
+        if not 0 <= self.nbar < np.inf:
+            raise ValueError("nbar must be finite and >= 0")
         if np.isfinite(self.lam):
             implied = 1.0 / np.expm1(self.lam)
             if abs(implied - self.nbar) > 1e-12 * max(1.0, self.nbar):
@@ -484,39 +500,27 @@ def make_thermal(params, dim=DEFAULT_DIM, allow_truncation=False) -> DensityOp:
 # quadrature moments
 # ---------------------------------------------------------------------------
 
-def _ladder(dim):
-    return np.diag(np.sqrt(np.arange(1, dim)), 1)
-
-
 def quad_moments(state):
-    """(mean x, mean p, var x, var p) from tridiagonal x and p matrices.
+    """(mean x, mean p, var x, var p) of a PureState or DensityOp.
 
-    The matrices are built on a space two levels taller than the state,
-    so the squares x^2, p^2 keep their couplings through the top level
-    and the moments are exact for the stored coefficients.  A warning
-    still fires when the top level carries mass > 1e-8: such a state is
-    a poor stand-in for whatever it truncates.
+    Read off the offset diagonals w_d[n] = rho_{n+d, n} for d = 0, 1, 2:
+    <N> = sum n w_0[n], <a> = sum sqrt(n+1) w_1[n] and <a^2> =
+    sum sqrt((n+1)(n+2)) w_2[n], so <x> + i<p> = sqrt2 <a>,
+    <x^2> = <N> + 1/2 + Re<a^2> and <p^2> = <N> + 1/2 - Re<a^2>.  These are
+    exact for the stored entries.  A warning still fires when the top
+    level carries mass > 1e-8: such a state is a poor stand-in for
+    whatever it truncates.
     """
-    if isinstance(state, PureState):
-        dim = state.dim
-        edge = abs(state.coeffs[-1]) ** 2
-        vec = np.concatenate([state.coeffs, np.zeros(2, dtype=complex)])
-        expect = lambda op: float(np.real(np.vdot(vec, op @ vec)))
-    else:
-        dim = state.dim
-        edge = float(np.real(state.matrix[-1, -1]))
-        mat = state.padded(dim + 2).matrix
-        expect = lambda op: float(np.real(np.trace(mat @ op)))
+    w0, w1, w2 = (state.diagonal(d) for d in range(3))
+    edge = float(np.real(w0[-1]))
     if edge > EDGE_MASS_TOL:
         warnings.warn(
             f"top Fock level holds mass {edge:.2e}; moments may be unreliable",
             TruncationWarning,
         )
-    a = _ladder(dim + 2)
-    x = (a + a.T) / np.sqrt(2.0)
-    p = (a - a.T) / (1j * np.sqrt(2.0))
-    p = (p + p.conj().T) / 2
-    mx, mp = expect(x), expect(p)
-    vx = expect(x @ x) - mx * mx
-    vp = expect(p @ p) - mp * mp
-    return mx, mp, vx, vp
+    n = np.arange(w0.size)
+    num = float(np.real(w0) @ n)
+    mean = complex(np.sqrt(2.0) * (w1 @ np.sqrt(n[1:])))  # <x> + i <p>
+    a2 = float(np.real(w2) @ np.sqrt(n[1:-1] * n[2:]))
+    mx, mp = mean.real, mean.imag
+    return mx, mp, num + 0.5 + a2 - mx * mx, num + 0.5 - a2 - mp * mp

@@ -16,22 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubplanckError
-from .fidelity import ScaleReport, _char_sq_quadrature, _sized_polar_quadrature, as_t
-from .fock import (
-    DensityOp,
-    PureState,
-    _as_complex,
-    _m_seq,
-    displacement_matrix,
-    quad_moments,
-)
+from .fidelity import _char_sq_quadrature, _sized_polar_quadrature, as_t, scale_report
+from .fock import DensityOp, PureState, _as_complex, _m_seq, displacement_matrix
 from .phasespace import CHUNK_ELEMENTS
 
 DOUBLED_SPACE_LIMIT = 32
-
-
-def _as_density(rho) -> DensityOp:
-    return rho.density() if isinstance(rho, PureState) else rho
 
 
 @dataclass(frozen=True)
@@ -53,7 +42,7 @@ class BoldEval:
 
 def bold_phi(rho, mu, alpha) -> complex:
     """Two-variable characteristic function tr[rho D+(mu) rho D(alpha)]."""
-    rho = _as_density(rho)
+    rho = rho.density()
     dmu = displacement_matrix(rho.dim, _as_complex(mu))
     dal = displacement_matrix(rho.dim, _as_complex(alpha))
     return complex(np.trace(rho.matrix @ dmu.conj().T @ rho.matrix @ dal))
@@ -66,7 +55,7 @@ def _parity_kernel(dim, point):
 
 def bold_w(rho, beta, nu) -> float:
     """Two-variable Wigner-like function tr[rho Dt(beta) rho Dt(nu)]/pi^2."""
-    rho = _as_density(rho)
+    rho = rho.density()
     d1 = _parity_kernel(rho.dim, beta)
     d2 = _parity_kernel(rho.dim, nu)
     val = np.trace(rho.matrix @ d1 @ rho.matrix @ d2) / np.pi**2
@@ -132,7 +121,6 @@ def entanglement_fidelity_direct(rho, t) -> float:
 
     This is fidelity form 1 applied to rho, with its support-sized rule.
     """
-    rho = _as_density(rho)
     t = as_t(t)
     if t == 0:
         return 1.0
@@ -158,7 +146,7 @@ def purify(rho: DensityOp) -> PureState:
     amplitude of |u> (x) |v> sits at u * dim + v.  Partial trace over the
     ancilla returns rho.
     """
-    rho = _as_density(rho)
+    rho = rho.density()
     if rho.dim > DOUBLED_SPACE_LIMIT:
         raise SubplanckError(f"purification limited to dim <= {DOUBLED_SPACE_LIMIT}")
     root = sqrt_density(rho)
@@ -166,16 +154,5 @@ def purify(rho: DensityOp) -> PureState:
     return PureState(psi, normalize=True, fix_phase=False)
 
 
-def mixed_scale_report(rho, label="") -> ScaleReport:
-    """Scale measures for a mixed state, from its quadrature variances."""
-    rho = _as_density(rho)
-    _, _, vx, vp = quad_moments(rho)
-    total = vx + vp
-    slope0 = -total / 2.0
-    return ScaleReport(
-        slope0=slope0,
-        t_crit=1.0 / abs(slope0),
-        fine_scale=1.0 / np.sqrt(total),
-        extent=2.0 * np.sqrt(total),
-        state=label,
-    )
+# scale_report reads only the quadrature variances, which both state kinds have
+mixed_scale_report = scale_report

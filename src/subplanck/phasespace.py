@@ -46,7 +46,6 @@ from scipy.special import gammaln, roots_hermite
 from .errors import GridResolutionError
 from .fock import (
     ComplexAmplitude,
-    DensityOp,
     PureState,
     _as_complex,
     _m_seq,
@@ -163,18 +162,9 @@ def state_diagonals(state):
     they and trailing runs of them are trimmed.  Over-padded states then
     cost what their actual support costs.
     """
-    if isinstance(state, PureState):
-        c = state.coeffs
-        dim = c.size
-        gen = lambda d: c[d:] * np.conj(c[: dim - d])
-    elif isinstance(state, DensityOp):
-        dim = state.dim
-        gen = lambda d: np.diagonal(state.matrix, offset=-d).copy()
-    else:
-        raise TypeError("expected PureState or DensityOp")
     out = []
-    for d in range(dim):
-        w = np.ascontiguousarray(gen(d))
+    for d in range(state.dim):
+        w = state.diagonal(d)
         alive = np.nonzero(np.abs(w) > 1e-18)[0]
         if alive.size:
             out.append((d, w[: alive[-1] + 1]))
@@ -584,8 +574,7 @@ class OverlapResult:
 
 def overlap(rho1, rho2, resolution=256) -> OverlapResult:
     """Overlap tr(rho1 rho2), cross-checked to 1e-3 against pi int d2a W1 W2."""
-    m1 = rho1.density().matrix if isinstance(rho1, PureState) else rho1.matrix
-    m2 = rho2.density().matrix if isinstance(rho2, PureState) else rho2.matrix
+    m1, m2 = rho1.density().matrix, rho2.density().matrix
     if m1.shape != m2.shape:
         raise ValueError("operators must share a truncation dimension")
     matrix_value = float(np.real(np.trace(m1 @ m2)))

@@ -15,8 +15,12 @@ Gaussian in beta - xi times W^(s) at s = -4t/(4 + t^2), separable per
 quadrature (`ConditionalKernel`), so no input grid is sampled.
 Per-sample fidelities come from the closed form
 f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the unity-gain output
-T(xi)|psi> (Hofmann et al., Phys. Rev. A 62, 062304 (2000)), not from
-grids.
+T(xi) rho T(xi)+ / p(xi) (Hofmann et al., Phys. Rev. A 62, 062304
+(2000)), not from grids.  It is the entanglement fidelity
+|tr rho T(xi)|^2 / p(xi) of the one-Kraus-operator conditional map
+(Schumacher, Phys. Rev. A 54, 2614 (1996)); tr rho T(xi) is linear in
+rho, so pure and mixed inputs share it, and its outcome average is the
+entanglement fidelity of `mixedstate`.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,6 @@ from .fidelity import as_t
 from .fock import (
     ComplexAmplitude,
     DensityOp,
-    PureState,
     _as_complex,
     _noise_kernel,
     hermite_functions,
@@ -110,7 +113,7 @@ def average_channel(state, t) -> DensityOp:
     """
     t = as_t(t)
     if t == 0:
-        return state.density() if isinstance(state, PureState) else state
+        return state.density()
     rho = _reconstruct_damped(state, t)
     # exactly Hermitian, and positive because both stages are CPTP: no eigvalsh check
     return DensityOp(rho / np.real(np.trace(rho)), validate=False)
@@ -294,7 +297,11 @@ def conditional_output(state, t, xi) -> PhaseGrid:
 
 @dataclass
 class MCResult:
-    """Empirical mean of conditional outputs plus per-sample trajectories."""
+    """Empirical mean of conditional outputs plus per-sample trajectories.
+
+    `fidelities[k]` is `conditional_fidelity` at outcome (xi1[k], xi2[k]),
+    for pure and mixed inputs alike.
+    """
 
     grid: PhaseGrid
     xi1: np.ndarray
@@ -304,13 +311,17 @@ class MCResult:
 
 
 def conditional_fidelity(state, t, xi) -> np.ndarray:
-    """Fidelity of the output conditioned on outcome xi, for a pure input.
+    """Fidelity of the output conditioned on outcome xi, for a pure or mixed input.
 
-    The unity-gain output for outcome xi is T(xi)|psi>/sqrt(p(xi)) with
+    The unity-gain output for outcome xi is T(xi) rho T(xi)+ / p(xi) with
     T(xi) = sqrt((1 - q^2)/pi) D(xi) q^n D+(xi), q = tanh r (Hofmann, Ide,
     Kobayashi & Furusawa, Phys. Rev. A 62, 062304 (2000)), so
-    f(xi) = |<psi|T(xi)|psi>|^2 / p(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi).
-    At t = 2 this is |<xi|psi>|^2.  `xi` holds complex amplitudes.
+    f(xi) = |tr rho T(xi)|^2 / p(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi):
+    the fidelity <psi|out|psi> for rho = |psi><psi|, and in general the
+    entanglement fidelity of the one-Kraus-operator map rho -> T rho T+ / p
+    (Schumacher, Phys. Rev. A 54, 2614 (1996)), whose average over p(xi) is
+    `mixedstate.entanglement_fidelity`.  At t = 2 and a pure input this is
+    |<xi|psi>|^2.  `xi` holds complex amplitudes.
     """
     t = as_t(t)
     if t <= 0:
@@ -335,8 +346,9 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
     matrix products on the floored factors of `ConditionalKernel.factors`:
     the L stack @ N, and the sum over the chunk as one product over the
     stacked (outcome, K) index.  Chunk sums are added with compensated
-    summation.  Per-sample fidelities of pure inputs are the closed form
-    `conditional_fidelity` at the drawn outcomes (NaN for mixed inputs).
+    summation.  Per-sample fidelities are the closed form
+    `conditional_fidelity` at the drawn outcomes, for pure and mixed
+    inputs alike; their mean estimates the (entanglement) fidelity.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -346,10 +358,7 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
     kern = ConditionalKernel(state, t)
     xi1s, xi2s, dens = sampler.sample(rng, samples)
     _check_conditioning(dens)
-    if isinstance(state, PureState):
-        fids = _fidelity_from(kern.ctilde, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
-    else:
-        fids = np.full(samples, np.nan)
+    fids = _fidelity_from(kern.ctilde, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     n1, n2 = kern.out_grid.resolution
     k = kern.coeffs.shape[0]
     chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * k))

@@ -15,7 +15,7 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, roots_hermite
 
-from subplanck import BoundaryLeakError
+from subplanck import BoundaryLeakError, PureState
 from subplanck.dynamics import SpatialGrid, WaveFunction
 
 
@@ -63,7 +63,11 @@ def ref_wigner_parity(coeffs, alpha):
 
 
 def ref_fidelity_form4(coeffs, t, n_radial=48, n_angular=64):
-    """Average fidelity via numpy laggauss + uniform angles, fully separate."""
+    """Average fidelity via numpy laggauss + uniform angles, fully separate.
+
+    Each radial node evaluates the closed-form elements at all angles at
+    once (`ref_displacement_element` is elementwise in mu).
+    """
     if t == 0:
         return 1.0
     x, w = laggauss(n_radial)
@@ -72,16 +76,35 @@ def ref_fidelity_form4(coeffs, t, n_radial=48, n_angular=64):
     dim = len(coeffs)
     total = 0.0
     for wi, xi in zip(w, x):
-        vals = []
-        for th in thetas:
-            mu = np.sqrt(xi / c) * np.exp(1j * th)
-            mat = np.array(
-                [[ref_displacement_element(m, n, mu) for n in range(dim)] for m in range(dim)]
-            )
-            vals.append(abs(np.conj(coeffs) @ mat @ coeffs) ** 2)
+        mus = np.sqrt(xi / c) * np.exp(1j * thetas)
+        mats = np.array(
+            [[ref_displacement_element(m, n, mus) for n in range(dim)] for m in range(dim)]
+        )  # [m, n, angle]
+        vals = np.abs(np.einsum("m,mna,n->a", np.conj(coeffs), mats, coeffs)) ** 2
         # rule: int_0^inf h(x) dx = (1/c) sum w e^{x} h(x/c), h includes e^{-cx}
         total += wi * np.exp(xi) / c * np.exp(-t * (xi / c) / 2) * np.mean(vals)
     return total
+
+
+def ref_quad_moments(state):
+    """(mean x, mean p, var x, var p) from dense x and p on a space two levels taller.
+
+    The padding keeps the couplings of x^2 and p^2 through the top stored
+    level, so the moments are exact for the stored entries.
+    """
+    if isinstance(state, PureState):
+        stored = np.outer(state.coeffs, np.conj(state.coeffs))
+    else:
+        stored = state.matrix
+    dim = stored.shape[0] + 2
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:-2, :-2] = stored
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = (a - a.T) / (1j * np.sqrt(2.0))
+    expect = lambda op: float(np.real(np.trace(rho @ op)))
+    mx, mp = expect(x), expect(p)
+    return mx, mp, expect(x @ x) - mx * mx, expect(p @ p) - mp * mp
 
 
 def ref_gauss_laguerre_scaled(n, dps=40):

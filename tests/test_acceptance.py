@@ -40,7 +40,7 @@ from subplanck import (
     squeezed_fidelity,
     wavefunction_to_fock,
 )
-from subplanck.phasespace import char_fn, wigner_values
+from subplanck.phasespace import char_fn, squasi_purity, wigner_values
 from subplanck.protocol import OutcomeSampler, average_channel, conditional_output
 
 
@@ -272,7 +272,9 @@ def test_10_mixed_states():
                 worst_closed, abs(got - 1.0 / (1.0 + (2 * nbar + 1) * t / 2))
             )
             worst_routes = max(
-                worst_routes, abs(got - entanglement_fidelity_direct(rho, t))
+                worst_routes,
+                abs(got - entanglement_fidelity_direct(rho, t)),
+                abs(got - (2 / t) * squasi_purity(rho, -2 / t)),  # form 2, linear in rho
             )
     worst_pure = 0.0
     for state, closed in (
@@ -287,7 +289,7 @@ def test_10_mixed_states():
     report(
         10,
         ok,
-        f"thermal closed-form dev {worst_closed:.2e}; two-route dev "
+        f"thermal closed-form dev {worst_closed:.2e}; three-route dev "
         f"{worst_routes:.2e}; pure reduction {worst_pure:.2e} (all <=1e-6)",
     )
 

@@ -128,6 +128,7 @@ MALFORMED = {
     "nan evolve t-max": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--t-max", "nan",
                          "--out-prefix", "{tmp}/e"],
     "nan t": ["teleport-mc", "--state", "coherent", "--t", "nan", "--out", "{tmp}/m.csv"],
+    "nan state parameter": ["scales", "--state", "coherent:nu1=nan"],
 }
 
 
@@ -242,6 +243,17 @@ class TestTeleportMCCommand:
         se = summary["stderr"]
         assert abs(summary["mean_conditional_fidelity"] - 2 / 3) < 3.5 * se
         assert summary["l1_distance_to_average_channel"] < 0.2
+
+    def test_thermal_input(self, tmp_path):
+        out = tmp_path / "th.csv"
+        rc = main([
+            "teleport-mc", "--state", "thermal:nbar=0.5", "--t", "1.0",
+            "--samples", "300", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        summary = json.loads(open(str(out) + ".summary.json").read())
+        se = summary["stderr"]
+        assert abs(summary["mean_conditional_fidelity"] - summary["closed_form"]) < 3 * se
 
     def test_deterministic_with_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

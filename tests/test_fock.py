@@ -7,6 +7,7 @@ from oracles import (
     ref_displacement_element,
     ref_displacement_expm,
     ref_m_element,
+    ref_quad_moments,
 )
 
 from subplanck import (
@@ -294,6 +295,11 @@ class TestThermal:
         with pytest.raises(TruncationError):
             make_thermal(2.0, 16)
 
+    @pytest.mark.parametrize("nbar", [np.nan, np.inf])
+    def test_non_finite_nbar_rejected(self, nbar):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalParams.from_nbar(nbar)
+
 
 class TestQuadMoments:
     def test_vacuum(self):
@@ -309,12 +315,37 @@ class TestQuadMoments:
         c[5] = 1.0
         with pytest.warns(TruncationWarning):
             quad_moments(PureState(c))
+        with pytest.warns(TruncationWarning):
+            quad_moments(DensityOp(np.diag([0.5, 0.0, 0.5])))
+
+    @pytest.mark.filterwarnings("ignore::subplanck.errors.TruncationWarning")
+    def test_matches_dense_operators(self, catalog):
+        rng = make_rng(12)
+        z = rng.standard_normal((296, 5)) + 1j * rng.standard_normal((296, 5))
+        cases = dict(catalog)
+        cases.update({
+            "random296": make_random(296, seed=3),
+            "thermal0.5": make_thermal(0.5, 64),
+            "thermal2": make_thermal(2.0, 96),
+            "rank5_296": DensityOp(z @ z.conj().T / np.sum(np.abs(z) ** 2)),
+        })
+        for name, state in cases.items():
+            got = np.array(quad_moments(state))
+            want = np.array(ref_quad_moments(state))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 class TestStateTypes:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]), normalize=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PureState([bad, 1.0])
+        with pytest.raises(ValueError):
+            DensityOp(np.array([[0.5, bad], [bad, 0.5]]))
 
     def test_density_validation(self):
         bad = np.array([[0.6, 0.2], [0.1, 0.4]])

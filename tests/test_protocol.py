@@ -15,11 +15,13 @@ from oracles import (
 from subplanck import (
     ComplexAmplitude,
     ConditioningError,
+    DensityOp,
     alice_outcome_density,
     average_channel,
     char_fn,
     compass_fidelity,
     conditional_output,
+    entanglement_fidelity,
     epr_wigner,
     fidelity_quadrature,
     husimi,
@@ -424,6 +426,21 @@ class TestMonteCarlo:
         res = mc_average(coh, t, 400, make_rng(21), sampler=sampler)
         se = res.fidelities.std() / np.sqrt(res.fidelities.size)
         assert abs(res.fidelities.mean() - 2 / 3) < 3 * se
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("name", ["thermal", "mixture3"])
+    def test_mixed_mean_fidelity_is_entanglement_fidelity(self, name, t):
+        # f(xi) = |tr rho T(xi)|^2 / p(xi) averages to F_e over p(xi)
+        if name == "thermal":
+            state = make_thermal(0.5, 40)
+        else:
+            kets = [make_coherent(ComplexAmplitude(1.0, 0.5), 40), make_number(1, 40),
+                    make_number(4, 40)]
+            state = DensityOp(sum(w * k.density().matrix for w, k in zip((0.5, 0.3, 0.2), kets)))
+        sampler = OutcomeSampler(state, t, resolution=256)
+        res = mc_average(state, t, 1000, make_rng(0), sampler=sampler)
+        se = res.fidelities.std(ddof=1) / np.sqrt(res.fidelities.size)
+        assert abs(res.fidelities.mean() - entanglement_fidelity(state, t)) < 3 * se
 
     def test_conditioning_error_on_sampled_density(self, coh):
         sampler = OutcomeSampler(coh, 1.0, resolution=256)
