@@ -19,8 +19,8 @@ from subplanck import (
     make_rng,
     mc_average,
 )
-from subplanck.phasespace import wigner_values
-from subplanck.protocol import OutcomeSampler, average_channel
+from subplanck.phasespace import squasi_values
+from subplanck.protocol import OutcomeSampler
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -32,8 +32,7 @@ rng = make_rng(1234)
 
 for n in (100, 1000, 5000):
     res = mc_average(state, t, n, rng, sampler=sampler)
-    rho = average_channel(state, t)
-    w_ref = wigner_values(rho, res.grid.points())
+    w_ref = squasi_values(state, -t, res.grid.points())  # the averaged output's Wigner function
     l1 = np.sum(np.abs(res.grid.values - w_ref)) * res.grid.cell_measure
     print(
         f"{n:5d} samples: L1 distance to averaged channel {l1:.4f}, "

@@ -55,9 +55,10 @@ from .phasespace import (
     char_values,
     default_grid,
     husimi_values,
+    squasi_values,
     wigner_values,
 )
-from .protocol import OutcomeSampler, average_channel, mc_average
+from .protocol import OutcomeSampler, mc_average
 from .dynamics import (
     KINETIC_COEFF,
     EvolutionConfig,
@@ -375,8 +376,8 @@ def cmd_teleport_mc(args):
     rng = make_rng(args.seed)
     sampler = OutcomeSampler(state, args.t)
     result = mc_average(state, args.t, args.samples, rng, sampler=sampler)
-    rho_avg = average_channel(state, args.t)
-    w_avg = wigner_values(rho_avg, result.grid.points())
+    # the averaged output's Wigner function: Phi_out = e^{-t|mu|^2/2} Phi_in, so W_out = W_in^(-t)
+    w_avg = squasi_values(state, -args.t, result.grid.points())
     l1 = float(np.sum(np.abs(result.grid.values - w_avg)) * result.grid.cell_measure)
     rows = [
         (k, x1, x2, f)

@@ -103,16 +103,15 @@ class ScaleReport:
 # quadrature forms
 # ---------------------------------------------------------------------------
 
-def _sized_polar_quadrature(state, decay, damping, prefactor, radial_mean):
-    """prefactor * int (d2mu/pi) damping(x) f(mu), x = |mu|^2, sized from the support.
+def _sized_polar_quadrature(state, a, prefactor, radial_mean):
+    """prefactor * int (d2mu/pi) e^{-a x} f(mu), x = |mu|^2, sized from the support.
 
     `radial_mean(diags, x)` returns the exact angular mean of f on radial
-    nodes x from the state's trimmed diagonals (`state_diagonals`).
-    `damping` must be a pure exponential e^{-a x} and `decay` = 1 + a the
-    total radial decay rate it makes with the e^{-x} that f carries as a
-    quadratic form in displacement elements of the state, so the
-    Gauss-Laguerre rule sees e^{-decay x} times a polynomial.  With D = 1 +
-    the highest Fock index the trimmed diagonals keep, that polynomial has,
+    nodes x from the state's trimmed diagonals (`state_diagonals`).  f
+    carries e^{-x} as a quadratic form in displacement elements of the
+    state, so with the damping e^{-a x} the Gauss-Laguerre rule of decay
+    rate 1 + a sees e^{-(1 + a) x} times a polynomial.  With D = 1 + the
+    highest Fock index the trimmed diagonals keep, that polynomial has,
     after the angular mean, degree <= 2(D-1) in x, so D radial nodes
     integrate it exactly, and the estimate comes from that rule.  The rule
     one node larger cross-checks it: if the two differ by more than 1e-8
@@ -122,21 +121,16 @@ def _sized_polar_quadrature(state, decay, damping, prefactor, radial_mean):
     diags = state_diagonals(state)
     support = max(d + w.size for d, w in diags)
     # only the rules' radial parts: radial_mean takes the angle exactly
-    rules = [polar_rule(decay, n, 2 * n - 1) for n in (support, support + 1)]
+    rules = [polar_rule(1.0 + a, n, 2 * n - 1) for n in (support, support + 1)]
     x = np.concatenate([rule[0] for rule in rules])
     wx = np.concatenate([rule[2] for rule in rules])
-    terms = wx * damping(x) * radial_mean(diags, x)
+    terms = wx * np.exp(-a * x) * radial_mean(diags, x)
     est = [prefactor * float(np.sum(part)) for part in np.split(terms, [support])]
     if abs(est[1] - est[0]) > 1e-8 * max(1.0, abs(est[0])):
         raise QuadratureError(
             f"polar quadrature estimates disagree: {est[0]!r} vs {est[1]!r}"
         )
     return est[0]
-
-
-def _char_sq_quadrature(state, decay, damping, prefactor):
-    """prefactor * int (d2mu/pi) damping(x) |Phi|^2, x = |mu|^2 (see above)."""
-    return _sized_polar_quadrature(state, decay, damping, prefactor, _char_sq_radial)
 
 
 def fidelity_quadrature(state, t, form=4):
@@ -149,11 +143,9 @@ def fidelity_quadrature(state, t, form=4):
     if t == 0:
         return 1.0
     if form == 4:
-        return _char_sq_quadrature(state, 1.0 + t / 2, lambda x: np.exp(-t * x / 2), 1.0)
+        return _sized_polar_quadrature(state, t / 2.0, 1.0, _char_sq_radial)
     if form == 1:
-        return _char_sq_quadrature(
-            state, 1.0 + 2.0 / t, lambda x: np.exp(-2.0 * x / t), 2.0 / t
-        )
+        return _sized_polar_quadrature(state, 2.0 / t, 2.0 / t, _char_sq_radial)
     if form == 3:  # pi int W W^(-t) = pi int (W^(-t/2))^2
         return squasi_purity(state, -t / 2.0)
     # form 2: t F(t) / 2 = F(4/t), term by term
@@ -185,18 +177,12 @@ def squeezed_fidelity(u, t) -> float:
     return 1.0 / np.sqrt(1.0 + t * np.cosh(2.0 * u) + t * t / 4.0)
 
 
-def _number_fidelity_expanded(n, t):
-    # sum_k binom(n,k)^2 (t^2/4)^{n-k} / (1+t/2)^{2n+1}; all terms >= 0
-    k = np.arange(n + 1)
-    logbinom2 = 2 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-    with np.errstate(divide="ignore"):
-        logpow = np.where(k < n, (n - k) * np.log(t * t / 4.0) if t > 0 else -np.inf, 0.0)
-    terms = np.exp(logbinom2 + logpow - (2 * n + 1) * np.log1p(t / 2.0))
-    return float(np.sum(terms))
-
-
 def number_fidelity(n, t) -> float:
-    """Fidelity of |n>, via a Legendre recurrence (expanded form near t=2)."""
+    """Fidelity of |n>: sum_k C(n,k)^2 (t^2/4)^{n-k} / (1+t/2)^{2n+1}.
+
+    Every term is positive, so the sum has no cancellation at any t (the
+    t = 2 point included); the terms are formed in the log domain.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     t = as_t(t)
@@ -204,13 +190,12 @@ def number_fidelity(n, t) -> float:
         return 1.0
     if n == 0:
         return coherent_fidelity(t)
-    if abs(1.0 - t * t / 4.0) < 0.05:
-        return _number_fidelity_expanded(n, t)
-    z = (1.0 + t * t / 4.0) / (1.0 - t * t / 4.0)
-    p_prev, p = 1.0, z
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * z * p - k * p_prev) / (k + 1), p
-    return (1.0 - t / 2.0) ** n / (1.0 + t / 2.0) ** (n + 1) * p
+    k = np.arange(n + 1)
+    logbinom2 = 2 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # t^2/4 may underflow to 0
+        logpow = np.where(k < n, (n - k) * np.log(t * t / 4.0), 0.0)
+    terms = np.exp(logbinom2 + logpow - (2 * n + 1) * np.log1p(t / 2.0))
+    return float(np.sum(terms))
 
 
 def compass_fidelity(a, t) -> float:

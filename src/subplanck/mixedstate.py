@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubplanckError
-from .fidelity import _char_sq_quadrature, _sized_polar_quadrature, as_t, scale_report
+from .fidelity import _sized_polar_quadrature, as_t, scale_report
 from .fock import DensityOp, PureState, _as_complex, _m_seq, displacement_matrix
-from .phasespace import CHUNK_ELEMENTS
+from .phasespace import CHUNK_ELEMENTS, _char_sq_radial
 
 DOUBLED_SPACE_LIMIT = 32
 
@@ -112,8 +112,7 @@ def entanglement_fidelity(rho, t) -> float:
     t = as_t(t)
     if t == 0:
         return 1.0
-    return _sized_polar_quadrature(rho, 1.0 + t / 2.0, lambda x: np.exp(-t * x / 2.0), 1.0,
-                                   _bold_phi_radial)
+    return _sized_polar_quadrature(rho, t / 2.0, 1.0, _bold_phi_radial)
 
 
 def entanglement_fidelity_direct(rho, t) -> float:
@@ -124,7 +123,7 @@ def entanglement_fidelity_direct(rho, t) -> float:
     t = as_t(t)
     if t == 0:
         return 1.0
-    return _char_sq_quadrature(rho, 1.0 + 2.0 / t, lambda x: np.exp(-2.0 * x / t), 2.0 / t)
+    return _sized_polar_quadrature(rho, 2.0 / t, 2.0 / t, _char_sq_radial)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ with eta = 1/(1 - s) and T the exact Gaussian smoothing of each h_j
 quadrature, because every coefficient's integrand is e^{-u^2-v^2} times a
 polynomial of degree <= 4D - 4 per axis (Cahill & Glauber, Phys. Rev. 177,
 1882 (1969) for the s-ordered family).  An evaluation builds Hermite tables
-on the points' distinct real and imaginary coordinates and contracts them
-with the K x K matrix: a tensor-product point set (every PhaseGrid and row
-block) costs K^2 n_y + K n_x n_y, a scattered one K^2 + K per point, and
-the point set itself picks the form.  Tables hold at most CHUNK_ELEMENTS
+on the points' real and imaginary coordinates and contracts them with the
+K x K matrix.  The point set itself picks the form: a 2-D array laid out as
+a grid (every PhaseGrid and row block) is a tensor product of its axes and
+costs K^2 n_y + K n_x n_y; any other set, 0-d and 1-d points included, is
+scattered and costs K^2 + K per point.  Tables hold at most CHUNK_ELEMENTS
 values, products run on fixed coordinate tiles (so values do not depend on
 chunking), and product operands hold no magnitudes below 1e-100.  C~ costs
 O(D K^2) plus three K^3 products to build and is rebuilt on every public
@@ -283,26 +284,19 @@ def _scattered_values(mats, x, y):
 def _separable_values(mats, x, y):
     """sum_ab mats[r, a, b] h_a(x) h_b(y) at every point, stacked over r.
 
-    The point set picks the evaluation: on its distinct first and second
-    coordinates the tensor form costs K^2 n_y + K n_x n_y, so it is used
-    whenever those pairs are at most twice the points (every PhaseGrid and
-    row block), and its values are gathered; otherwise each point costs
-    one K^2 product row and a dot product.
+    The layout picks the evaluation.  A 2-D array whose rows share a first
+    coordinate and whose columns share a second (every PhaseGrid and row
+    block) is a tensor product of its axes and costs K^2 n_y + K n_x n_y;
+    any other point set costs one K^2 product row and a dot product per
+    point.
     """
     shape = x.shape
     if x.size == 0:
         return np.zeros((len(mats),) + shape)
     if x.ndim == 2 and (x == x[:, :1]).all() and (y == y[:1]).all():
-        # a grid (rows of equal first coordinate): its axes are read off directly
-        xs, ys = x[:, 0].copy(), y[0].copy()
-        ix, iy = np.arange(shape[0])[:, None], np.arange(shape[1])[None, :]
-    else:
-        x, y = x.ravel(), y.ravel()
-        xs, ix = np.unique(x, return_inverse=True)
-        ys, iy = np.unique(y, return_inverse=True)
-        if xs.size * ys.size > 2 * x.size:
-            return _scattered_values(mats, x, y)[:, : x.size].reshape((len(mats),) + shape)
-    return _tensor_values(mats, xs, ys)[:, ix, iy].reshape((len(mats),) + shape)
+        return _tensor_values(mats, x[:, 0].copy(), y[0].copy())[:, : shape[0], : shape[1]].copy()
+    vals = _scattered_values(mats, x.ravel(), y.ravel())
+    return vals[:, : x.size].reshape((len(mats),) + shape)
 
 
 def _rotated_density(state, dim, u):

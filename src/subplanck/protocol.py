@@ -336,14 +336,16 @@ def _fidelity_from(ctilde, t, xi):
     return 2.0 * np.pi / t * _squasi_from(ctilde, -2.0 / t, xi) ** 2 / p
 
 
-def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
+def mc_average(state, t, samples, rng, sampler) -> MCResult:
     """Monte Carlo average over measurement outcomes of conditional outputs.
 
-    Each outcome's grid is weighted by 1/q(xi), q the sampler's cell
-    density, so the mean is an unbiased importance-sampling estimate of
-    the averaged channel's output.  Each chunk of B outcomes, with B
-    factor matrices per component within CHUNK_ELEMENTS values, costs two
-    matrix products on the floored factors of `ConditionalKernel.factors`:
+    Outcomes are drawn from `sampler`, an `OutcomeSampler(state, t)` that
+    the caller builds once and may reuse across calls (its grid costs a C~
+    build of its own).  Each outcome's grid is weighted by 1/q(xi), q the
+    sampler's cell density, so the mean is an unbiased importance-sampling
+    estimate of the averaged channel's output.  Each chunk of B outcomes,
+    with B factor matrices per component within CHUNK_ELEMENTS values, costs
+    two matrix products on the floored factors of `ConditionalKernel.factors`:
     the L stack @ N, and the sum over the chunk as one product over the
     stacked (outcome, K) index.  Chunk sums are added with compensated
     summation.  Per-sample fidelities are the closed form
@@ -353,8 +355,6 @@ def mc_average(state, t, samples, rng, sampler=None) -> MCResult:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     t = as_t(t)
-    if sampler is None:
-        sampler = OutcomeSampler(state, t)
     kern = ConditionalKernel(state, t)
     xi1s, xi2s, dens = sampler.sample(rng, samples)
     _check_conditioning(dens)

@@ -140,6 +140,15 @@ def ref_gauss_laguerre_scaled(n, dps=40):
     return nodes, weights
 
 
+def number_fidelity_mp(n, t, dps=50) -> float:
+    """F(|n>, t) = sum_k C(n,k)^2 (t^2/4)^{n-k} / (1+t/2)^{2n+1} in `dps`-digit arithmetic."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        total = mpmath.fsum(mpmath.binomial(n, k) ** 2 * (t * t / 4) ** (n - k)
+                            for k in range(n + 1))
+        return float(total / (1 + t / 2) ** (2 * n + 1))
+
+
 def two_level_fidelity(c0, c1, t):
     """Exact fidelity of c0|0> + c1|1> (radial/angular integrals done by hand)."""
     c = 1.0 + t / 2.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,11 +138,15 @@ def test_malformed_input_exits_2_with_error_line(case, tmp_path, capsys):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [a.format(tmp=tmp_path) for a in MALFORMED[case]]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse's own usage errors
-        rc = exc.code
+    # pytest records warnings instead of printing them, so catch them here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            rc = exc.code
     assert rc == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert any("error:" in line for line in err.splitlines())
     assert "RuntimeWarning" not in err

@@ -43,3 +43,13 @@ def test_fidelity_curves_demo_runs():
             assert abs(float(quad) - float(closed)) <= 1e-6  # the printed digits
             checked += 1
     assert checked == 3
+
+
+def test_teleportation_monte_carlo_demo_runs():
+    # the L1 reference grid is the input's W^(-t), the averaged output's Wigner function
+    out = run_demo("teleportation_monte_carlo.py")
+    assert "trajectories.csv" in out
+    rows = [line for line in out.splitlines() if "samples: L1 distance" in line]
+    assert [int(line.split()[0]) for line in rows] == [100, 1000, 5000]
+    l1 = [float(line.split("averaged channel ")[1].split(",")[0]) for line in rows]
+    assert l1[-1] < l1[0]  # the sampled mean converges on the averaged channel

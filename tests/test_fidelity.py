@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     compass_slope_factor,
+    number_fidelity_mp,
     quadrature_curve,
     random_avg_fidelity_mp,
     random_avg_fidelity_series,
@@ -214,19 +215,13 @@ class TestClosedForms:
             ref_fidelity_form4(st.coeffs, 0.5), abs=1e-6
         )
 
-    def test_number_expanded_matches_recurrence(self):
-        # the t = 2 singularity of the Legendre argument is removable
-        for n in (1, 4, 9):
-            for t in (1.94, 1.99, 2.0, 2.01, 2.06):
-                expanded = number_fidelity(n, t)
-                if abs(1 - t * t / 4) >= 0.05:
-                    continue
-                t_off = 1.8
-                rec = number_fidelity(n, t_off)
-                from subplanck.fidelity import _number_fidelity_expanded
-
-                assert _number_fidelity_expanded(n, t_off) == pytest.approx(rec, rel=1e-12)
-                assert np.isfinite(expanded)
+    def test_number_matches_mp_series(self):
+        # one positive-term sum at every t, across t = 2 and at large n
+        for n in (1, 4, 9, 60, 100):
+            for t in (1.8, 1.94, 1.99, 2.0, 2.01, 2.06):
+                got = number_fidelity(n, t)
+                assert np.isfinite(got)
+                assert got == pytest.approx(number_fidelity_mp(n, t), rel=1e-12), (n, t)
 
     def test_compass_limits(self):
         for t in (0.5, 1.0, 2.0):

@@ -3,7 +3,6 @@ import pytest
 
 from oracles import partial_trace_ancilla
 
-import subplanck.fidelity as fidelity_module
 import subplanck.mixedstate as mixedstate_module
 from subplanck import (
     ComplexAmplitude,
@@ -217,7 +216,7 @@ class TestEntanglementFidelity:
             ("diagonal", mixedstate_module, "_bold_phi_radial", make_thermal(2.0, 64), 64),
             ("general", mixedstate_module, "_bold_phi_radial",
              make_coherent(ComplexAmplitude(0.3, 0.2), 24).density(), 18),
-            ("direct", fidelity_module, "_char_sq_radial", make_thermal(2.0, 64), 64),
+            ("direct", mixedstate_module, "_char_sq_radial", make_thermal(2.0, 64), 64),
         ],
     )
     def test_sized_from_support_with_cross_check(self, monkeypatch, route, module, name, rho,

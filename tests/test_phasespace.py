@@ -303,12 +303,22 @@ class TestHermiteKernel:
         assert np.max(np.abs(char_values(st, pts) - ref_char_values(st, pts))) <= 1e-12
 
     @pytest.mark.parametrize("s", [0.0, -0.5, -2.125])
-    def test_tensor_and_scattered_agree(self, states, s):
+    def test_tensor_and_scattered_agree(self, states, s, monkeypatch):
         grid, _ = self.points()
         order = np.random.default_rng(4).permutation(grid.size)
+        calls, scattered_values = [], phasespace_module._scattered_values
+
+        def counting(*args):
+            calls.append(args)
+            return scattered_values(*args)
+
+        monkeypatch.setattr(phasespace_module, "_scattered_values", counting)
         for name, st in states.items():
             tensor = squasi_values(st, s, grid).ravel()[order]
+            assert not calls, name  # a grid layout takes the tensor form
             scattered = squasi_values(st, s, grid.ravel()[order])
+            assert calls, name  # the same points, permuted, take the scattered form
+            calls.clear()
             assert np.max(np.abs(tensor - scattered)) <= 1e-15, name
 
     def test_zero_d_and_empty_points(self, catalog):

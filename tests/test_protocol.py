@@ -37,7 +37,7 @@ from subplanck import (
     sample_outcome,
 )
 from subplanck import phasespace, protocol
-from subplanck.phasespace import wigner_values
+from subplanck.phasespace import squasi_values, wigner_values
 from subplanck.protocol import ConditionalKernel, OutcomeSampler, conditional_fidelity
 
 
@@ -204,6 +204,22 @@ class TestAverageChannel:
         rho = average_channel(st, 0.7)
         oracle = average_channel_displaced(st, 0.7, nodes=40, out_dim=rho.dim)
         assert np.max(np.abs(rho.matrix - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_output_wigner_is_input_squasi(self, catalog, t):
+        # Phi_out = e^{-t|mu|^2/2} Phi_in = Phi_in^(-t), so W_out = W_in^(-t) (Cahill & Glauber)
+        kets = [make_coherent(ComplexAmplitude(1.0, 0.5), 40), make_number(1, 40),
+                make_number(4, 40)]
+        mixture = DensityOp(sum(w * k.density().matrix for w, k in zip((0.5, 0.3, 0.2), kets)))
+        states = dict(catalog, thermal=make_thermal(0.7, 40), mixture3=mixture)
+        q = np.linspace(-4.0, 4.0, 33)
+        grid = (q[:, None] + 1j * q[None, :]) / np.sqrt(2.0)
+        scattered = np.random.default_rng(3).normal(scale=1.5, size=(40, 2)).view(complex)[:, 0]
+        for name, st in states.items():
+            rho = average_channel(st, t)
+            for pts in (grid, scattered):
+                got, want = wigner_values(rho, pts), squasi_values(st, -t, pts)
+                assert np.max(np.abs(got - want)) <= 1e-13, name
 
     def test_convolution_law_on_grids(self, coh):
         # Wigner of the averaged output equals P smeared over the input
