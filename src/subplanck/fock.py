@@ -289,7 +289,7 @@ def hermite_rows(x, n_max):
     """Yield the oscillator eigenfunctions phi_0(x) .. phi_{n_max-1}(x) (read-only rows).
 
     The orthonormal Hermite functions by their three-term recurrence,
-    holding two rows at a time; `hermite_functions` stacks them.
+    holding two rows at a time.
     """
     if n_max < 1:
         return
@@ -304,10 +304,26 @@ def hermite_rows(x, n_max):
 
 
 def hermite_functions(x, n_max):
-    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x, shape (n_max, x.size)."""
+    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x, shape (n_max, x.size).
+
+    The recurrence of `hermite_rows`, filled in place with one scratch
+    row: the same arithmetic in the same order, so bit-identical to
+    stacking its rows.
+    """
+    x = np.ravel(x)
     out = np.empty((n_max, x.size))
-    for n, row in enumerate(hermite_rows(x, n_max)):
-        out[n] = row
+    if n_max < 1:
+        return out
+    out[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    if n_max > 1:
+        np.multiply(np.sqrt(2.0) * x, out[0], out=out[1])
+        scratch = np.empty(x.size)
+        for n in range(1, n_max - 1):
+            # out[n+1] = sqrt(2/(n+1)) x out[n] - sqrt(n/(n+1)) out[n-1]
+            np.multiply(np.sqrt(2.0 / (n + 1)), x, out=out[n + 1])
+            out[n + 1] *= out[n]
+            np.multiply(np.sqrt(n / (n + 1)), out[n - 1], out=scratch)
+            out[n + 1] -= scratch
     return out
 
 

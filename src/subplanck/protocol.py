@@ -56,6 +56,8 @@ DENSITY_GRID_SIGMAS = 6.0
 _CHANNEL_TAIL = 1e-15
 # Smallest outcome probability the sampler's grid must capture.
 SAMPLER_MIN_MASS = 0.999
+# Values per row block when scaling and flooring a factor table (cache-sized).
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -210,10 +212,13 @@ class OutcomeSampler:
         return xi1, xi2, np.maximum(self.grid.values.ravel()[idx], 0.0)
 
 
-def sample_outcome(state, t, rng, sampler=None) -> OutcomeSample:
-    """Draw one measurement outcome distributed as p(xi)."""
-    if sampler is None:
-        sampler = OutcomeSampler(state, t)
+def sample_outcome(state, t, rng, sampler) -> OutcomeSample:
+    """Draw one measurement outcome distributed as p(xi).
+
+    `sampler` is an `OutcomeSampler(state, t)` that the caller builds once
+    and reuses across draws: its grid costs a C~ build and a 512^2
+    evaluation, far more than a draw.
+    """
     xi1, xi2, dens = sampler.sample(rng, 1)
     return OutcomeSample(ComplexAmplitude(float(xi1[0]), float(xi2[0])), float(dens[0]))
 
@@ -263,27 +268,38 @@ class ConditionalKernel:
         self.out_grid = PhaseGrid(ComplexAmplitude(mx, mp), (hw, hw), (128, 128))
 
     def factors(self, xi1, xi2):
-        """Floored (L[k], R[k]) for outcomes (xi1[k], xi2[k]).
+        """Floored (left, right) for outcomes (xi1[m], xi2[m]), m < b.
 
-        p(xi_k) W(b | xi_k) = (-2s/pi) L[k] @ coeffs @ R[k].T.  Each has
-        shape (outcomes, output nodes, K); entries below 1e-100 are exactly
-        0, all others normal.
+        Both are column blocks of one (K, b (n1 + n2)) table built by one
+        `hermite_functions` pass, left of shape (K, b n1) and right of
+        shape (K, b n2): left[:, m n1 + i] = L_m[i] and right[:, m n2 + j]
+        = R_m[j], where p(xi_m) W(b | xi_m) = (-2s/pi) L_m @ coeffs @ R_m.T.
+        Entries below 1e-100 are exactly 0, all others normal.  The
+        Gaussians and the floor are applied in row blocks, so no
+        temporary the size of the table is made.
         """
         s, kappa, k = self.order, self.kappa, self.coeffs.shape[0]
         scale = np.sqrt(2.0 / (1.0 - s))
-        out = []
+        nodes, gauss = [], []
         for b, xs in ((self.out_grid.axis1, xi1), (self.out_grid.axis2, xi2)):
             xs = np.reshape(xs, (-1, 1))
             d = b - xs
-            h = hermite_functions((scale * (xs + kappa * d)).ravel(), k) * np.exp(s * d * d).ravel()
-            out.append(_floored(h.T.reshape(d.shape + (k,))))
-        return out
+            nodes.append((scale * (xs + kappa * d)).ravel())
+            gauss.append(np.exp(s * d * d).ravel())
+        table = hermite_functions(np.concatenate(nodes), k)
+        gauss = np.concatenate(gauss)
+        rows = max(1, _BLOCK_ELEMENTS // gauss.size)
+        for r in range(0, k, rows):
+            block = table[r : r + rows]
+            block *= gauss
+            _floored(block)
+        return table[:, : nodes[0].size], table[:, nodes[0].size :]
 
     def evaluate(self, xi1, xi2, p_xi) -> np.ndarray:
         """Output grid for one outcome."""
         _check_conditioning(p_xi)
         left, right = self.factors(xi1, xi2)
-        return (left[0] @ self.coeffs @ right[0].T) * (-2.0 * self.order / (np.pi * p_xi))
+        return (left.T @ self.coeffs @ right) * (-2.0 * self.order / (np.pi * p_xi))
 
 
 def conditional_output(state, t, xi) -> PhaseGrid:
@@ -343,14 +359,16 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     the caller builds once and may reuse across calls (its grid costs a C~
     build of its own).  Each outcome's grid is weighted by 1/q(xi), q the
     sampler's cell density, so the mean is an unbiased importance-sampling
-    estimate of the averaged channel's output.  Each chunk of B outcomes,
-    with B factor matrices per component within CHUNK_ELEMENTS values, costs
-    two matrix products on the floored factors of `ConditionalKernel.factors`:
-    the L stack @ N, and the sum over the chunk as one product over the
-    stacked (outcome, K) index.  Chunk sums are added with compensated
-    summation.  Per-sample fidelities are the closed form
-    `conditional_fidelity` at the drawn outcomes, for pure and mixed
-    inputs alike; their mean estimates the (entanglement) fidelity.
+    estimate of the averaged channel's output.  Each chunk of b outcomes,
+    with b factor matrices per component within CHUNK_ELEMENTS values, has
+    one floored (K, b (n1 + n2)) table from `ConditionalKernel.factors` and
+    costs two matrix products on views, each into a buffer reused across
+    chunks: N.T @ left, and the sum over the chunk as one product over the
+    stacked (K, outcome) index.  No factor is copied or transposed.  Chunk
+    sums are added with compensated summation.  Per-sample fidelities are
+    the closed form `conditional_fidelity` at the drawn outcomes, for pure
+    and mixed inputs alike; their mean estimates the (entanglement)
+    fidelity.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -363,19 +381,25 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     k = kern.coeffs.shape[0]
     chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * k))
     weights = -2.0 * kern.order / (np.pi * dens)
+    lhs_buf, rhs_buf = np.empty(k * chunk * n1), np.empty(k * chunk * n2)
+    vals = np.empty((n1, n2))
     acc = np.zeros((n1, n2))
     comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
     for lo in range(0, samples, chunk):
         part = slice(lo, lo + chunk)
         left, right = kern.factors(xi1s[part], xi2s[part])
-        b = left.shape[0]
-        lhs = (left.reshape(b * n1, k) @ kern.coeffs).reshape(b, n1, k)
-        right *= weights[part, None, None]
-        # sum_j lhs_j @ right_j.T as one product over the index (j, K)
-        vals = lhs.transpose(1, 0, 2).reshape(n1, b * k) @ right.transpose(1, 0, 2).reshape(n2, b * k).T
-        y = vals - comp
-        new = acc + y
-        comp = (new - acc) - y
+        b = left.shape[1] // n1
+        # lhs_t[c, (m, i)] = (L_m @ N)[i, c] and rhs[c, m, j] = w_m R_m[j, c]
+        lhs_t = np.matmul(kern.coeffs.T, left, out=lhs_buf[: k * b * n1].reshape(k, b * n1))
+        rhs = np.multiply(right.reshape(k, b, n2), weights[part, None],
+                          out=rhs_buf[: k * b * n2].reshape(k, b, n2))
+        # sum_m (L_m @ N) @ (w_m R_m).T as one product over the index (c, m)
+        np.matmul(lhs_t.reshape(k * b, n1).T, rhs.reshape(k * b, n2), out=vals)
+        del left, right  # free this chunk's table before the next one is built
+        vals -= comp
+        new = acc + vals
+        np.subtract(new, acc, out=comp)
+        comp -= vals
         acc = new
     mean = acc / samples
     return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids)

@@ -192,6 +192,15 @@ class TestFockProjection:
         assert len(list(hermite_rows(SMALL.x, n_max))) == n_max
         assert hermite_functions(SMALL.x, n_max).shape == (n_max, SMALL.x.size)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 89])
+    def test_hermite_functions_equal_stacked_rows(self, n_max):
+        # filled in place, the table keeps the row recurrence's bits, also
+        # out at |x| = 40, where phi_0 underflows to 0
+        x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-0.0, 37.5, 38.6]])
+        assert np.any(np.exp(-(x**2) / 2.0) == 0.0)
+        stacked = np.array(list(hermite_rows(x, n_max))).reshape(n_max, x.size)
+        assert np.array_equal(hermite_functions(x, n_max), stacked)
+
     @pytest.mark.parametrize("dim", [0, -3])
     def test_nonpositive_dim_rejected(self, dim):
         with pytest.raises(ValueError):

@@ -34,11 +34,17 @@ from subplanck import (
     mc_average,
     p_dist,
     p_tilde,
+    quad_moments,
     sample_outcome,
 )
 from subplanck import phasespace, protocol
 from subplanck.phasespace import squasi_values, wigner_values
-from subplanck.protocol import ConditionalKernel, OutcomeSampler, conditional_fidelity
+from subplanck.protocol import (
+    ConditionalKernel,
+    OutcomeSampler,
+    _outcome_order,
+    conditional_fidelity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +495,22 @@ class TestBatchedMonteCarlo:
         ref = ref_mc_average(kern, res.xi1, res.xi2, density_at(sampler, res.xi1, res.xi2))
         assert np.max(np.abs(res.grid.values - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("count", ["1", "c-1", "c", "c+1", "2c+3"])
+    @pytest.mark.parametrize("name,k", [("coherent", 57), ("compass2", 89)])
+    def test_matches_reference_across_chunk_boundaries(self, name, k, count):
+        # c outcomes per chunk: full, partial and single-outcome last chunks
+        state, t = MC_STATES[name](), 1.0
+        kern = ConditionalKernel(state, t)
+        assert kern.coeffs.shape[0] == k
+        c = protocol.CHUNK_ELEMENTS // (max(kern.out_grid.resolution) * k)
+        samples = {"1": 1, "c-1": c - 1, "c": c, "c+1": c + 1, "2c+3": 2 * c + 3}[count]
+        sampler = OutcomeSampler(state, t, resolution=256)
+        res = mc_average(state, t, samples, make_rng(13), sampler=sampler)
+        ref = ref_mc_average(kern, res.xi1, res.xi2, density_at(sampler, res.xi1, res.xi2))
+        assert np.max(np.abs(res.grid.values - ref)) <= 1e-12
+        xi = (res.xi1 + 1j * res.xi2) / np.sqrt(2.0)
+        assert np.array_equal(res.fidelities, conditional_fidelity(state, t, xi))
+
     def test_chunk_size_does_not_change_mean(self, monkeypatch):
         state, t = make_compass(2.0, 48), 0.5
         sampler = OutcomeSampler(state, t, resolution=256)
@@ -533,12 +555,31 @@ class TestConditionalFidelity:
 class TestSubnormalFloor:
     @pytest.mark.parametrize("t", [0.5, 0.02])
     def test_factors_zero_or_normal(self, t):
-        # products on subnormal operands run far slower; the floor keeps them out
+        # products on subnormal operands run far slower; the floor keeps them
+        # out of every entry of a chunk's table, also for outcomes 6 sigma out
         state = make_compass(2.0, 48)
         kern = ConditionalKernel(state, t)
-        for a in kern.factors(np.array([0.3, -1.1]), np.array([-0.2, 0.8])):
-            assert np.any(a == 0.0)
-            assert np.all(np.abs(a[a != 0.0]) >= np.finfo(float).tiny)
+        n1, n2 = kern.out_grid.resolution
+        k = kern.coeffs.shape[0]
+        batch1, batch2, _ = OutcomeSampler(state, t, resolution=256).sample(make_rng(17), 40)
+        mx, mp, vx, vp = quad_moments(state)
+        sigma = np.sqrt(max(vx, vp) - _outcome_order(t) / 2.0)  # of p(xi), per quadrature
+        batch1[:8] = mx + 6.0 * sigma * np.array([1, -1, 0, 0, 1, -1, 1, -1])
+        batch2[:8] = mp + 6.0 * sigma * np.array([0, 0, 1, -1, 1, 1, -1, -1])
+        for xi1, xi2 in ((np.array([0.3, -1.1]), np.array([-0.2, 0.8])), (batch1, batch2)):
+            left, right = kern.factors(xi1, xi2)
+            b = xi1.size
+            assert left.shape == (k, b * n1) and right.shape == (k, b * n2)
+            assert left.base is right.base is not None  # one table
+            for a in (left, right):
+                assert np.any(a == 0.0)
+                assert np.all(np.abs(a[a != 0.0]) >= np.finfo(float).tiny)
+            # block m is outcome m's floored closed-form factor pair
+            for m in range(b):
+                ref = ref_conditional_values(kern, xi1[m], xi2[m], 1.0)
+                lm, rm = left[:, m * n1 : (m + 1) * n1], right[:, m * n2 : (m + 1) * n2]
+                got = (lm.T @ kern.coeffs @ rm) * (-2.0 * kern.order / np.pi)
+                assert np.max(np.abs(got - ref)) <= 1e-90
 
     @pytest.mark.parametrize("t", [0.5, 0.02])
     def test_floor_moves_values_below_1e_90(self, t):
