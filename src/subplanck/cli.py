@@ -1,9 +1,10 @@
 """Command-line interface: curves, scale reports, grids, Monte Carlo runs.
 
 Every command writes a run manifest (JSON) capturing the resolved
-configuration, seed, and tool version; re-running with the same
-configuration reproduces output files byte for byte (timestamps live
-only in the manifest).  CSV files carry '#'-prefixed key=value header
+configuration, seed, tool version, and BLAS library and thread settings;
+re-running with the same configuration, library versions and BLAS thread
+count reproduces output files byte for byte (timestamps live only in the
+manifest).  CSV files carry '#'-prefixed key=value header
 lines followed by comma-separated numeric rows printed with 17
 significant digits.
 
@@ -13,6 +14,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 import argparse
 import itertools
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -218,8 +220,17 @@ def read_state_csv(path):
     return PureState(arr[:, 1] + 1j * arr[:, 2], normalize=False, fix_phase=False)
 
 
+def _blas_record():
+    """BLAS library and thread settings: output bytes depend on the thread count."""
+    doc = {"name": np.__config__.CONFIG["Build Dependencies"]["blas"].get("name")}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        doc[var] = os.environ.get(var)
+    return doc
+
+
 def write_manifest(path, command, config, seed=None):
     doc = {
+        "blas": _blas_record(),
         "command": command,
         "config": config,
         "seed": seed,

@@ -463,23 +463,57 @@ def char_on_polar(state, x, theta):
     return out.T
 
 
+# Fock levels per Horner block of the pure-state Husimi kernel.
+_HORNER_BLOCK = 32
+
+
 def husimi_values(state, points):
     """Q = <alpha|rho|alpha>/pi: |<alpha|psi>|^2/pi for a pure state, W^(-1) for a mixed one.
 
-    The pure form, by coherent overlaps, gives exact zeros where the
-    overlap vanishes; a mixed state takes the s = -1 kernel.
+    A pure state's overlap is a Gaussian times a polynomial in z = conj(alpha)
+    (Bargmann): with g_n = e^{-|alpha|^2/2} z^n / sqrt(n!) and blocks of
+    L = _HORNER_BLOCK levels from n0 = 0, L, 2L, ...,
+    <alpha|psi> = sum_n0 g_n0 sum_j beta_j z^j,  beta_j = c_{n0+j} sqrt(n0!/(n0+j)!),
+    so |beta_j| <= |c_{n0+j}|.  Each block is one Horner pass in z (two
+    in-place passes per level), and g moves to the next block by one product
+    with z^L and one running product of 1/sqrt(k).  Levels above the last
+    nonzero coefficient are not visited.  Q = |.|^2/pi is >= 0, and exactly 0
+    at alpha = 0 when c_0 = 0.  Only points where e^{-|alpha|^2/2} is nonzero
+    (|alpha|^2 below about 1490, where |z|^L < 1e51) are evaluated; farther
+    ones read exactly 0.
+    A mixed state takes the s = -1 kernel.
     """
     if not isinstance(state, PureState):
         return squasi_values(state, -1.0, points)
     pts = np.asarray(points, dtype=complex)
-    # g_n = <n|alpha> by the bounded recurrence g_{n+1} = g_n alpha / sqrt(n+1)
-    g = np.exp(-np.abs(pts) ** 2 / 2).astype(complex)
-    acc = np.zeros(pts.shape, dtype=complex)
-    for n in range(state.dim):
-        acc += state.coeffs[n] * np.conj(g)
-        if n + 1 < state.dim:
-            g = g * pts / np.sqrt(n + 1)
-    return np.abs(acc) ** 2 / np.pi
+    top = np.flatnonzero(state.coeffs)[-1] + 1  # a state has a nonzero coefficient
+    g0 = np.exp(-(pts.real**2 + pts.imag**2) / 2)
+    live = g0 != 0  # NaN points stay live and read NaN
+    z = np.conj(pts[live])
+    g = g0[live].astype(complex)
+    acc = np.zeros(z.shape, dtype=complex)
+    s = np.empty(z.shape, dtype=complex)
+    z_block = None
+    for n0 in range(0, top, _HORNER_BLOCK):
+        # ratio[j] = sqrt(n0! / (n0 + j + 1)!) as a running product
+        ratio = np.cumprod(1.0 / np.sqrt(np.arange(n0 + 1, n0 + _HORNER_BLOCK + 1)))
+        beta = state.coeffs[n0 : min(n0 + _HORNER_BLOCK, top)].copy()
+        beta[1:] *= ratio[: beta.size - 1]
+        s.fill(beta[-1])
+        for b in beta[-2::-1]:
+            s *= z
+            if b != 0:
+                s += b
+        s *= g
+        acc += s
+        if n0 + _HORNER_BLOCK < top:
+            if z_block is None:
+                z_block = z**_HORNER_BLOCK
+            g *= z_block
+            g *= ratio[-1]
+    out = np.zeros(pts.shape)
+    out[live] = np.abs(acc) ** 2 / np.pi
+    return out
 
 
 # ---------------------------------------------------------------------------

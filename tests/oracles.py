@@ -251,6 +251,20 @@ def ref_char_on_polar(diags, x, theta):
     return out.T
 
 
+def ref_husimi(coeffs, alpha, dps=40):
+    """|<alpha|psi>|^2/pi by the Bargmann sum e^{-|alpha|^2/2} sum_n c_n conj(alpha)^n/sqrt(n!), in mpmath."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(complex(alpha))
+        z = mpmath.conj(a)
+        total = mpmath.mpc(0)
+        term = mpmath.mpf(1)  # conj(alpha)^n / sqrt(n!)
+        for n, c in enumerate(coeffs):
+            if n:
+                term = term * z / mpmath.sqrt(n)
+            total += mpmath.mpc(complex(c)) * term
+        return float(abs(total * mpmath.exp(-abs(a) ** 2 / 2)) ** 2 / mpmath.pi)
+
+
 def ref_m_element(n, d, x, dps=40):
     """M_n^(d)(x) in `dps`-digit mpmath arithmetic, as a float."""
     with mpmath.workdps(dps):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -413,3 +416,22 @@ class TestManifest:
                    "--out", str(out3)])
         assert rc == 0
         assert out1.read_bytes() == out3.read_bytes()
+
+    def test_blas_threads_recorded_and_replayed(self, tmp_path):
+        out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "MKL_NUM_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "subplanck.cli", "fidelity-curve",
+                        "--state", "squeezed:u=0.5", "--t-min", "0", "--t-max", "1",
+                        "--t-steps", "5", "--out", str(out1)],
+                       env=env, capture_output=True, text=True, timeout=120, check=True)
+        blas = json.loads(open(str(out1) + ".manifest.json").read())["blas"]
+        assert blas["OPENBLAS_NUM_THREADS"] == "1"
+        assert blas["MKL_NUM_THREADS"] is None
+        assert blas["name"]
+        rc = main(["fidelity-curve", "--config", str(out1) + ".manifest.json",
+                   "--out", str(out2)])
+        assert rc == 0
+        assert out1.read_bytes() == out2.read_bytes()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     ref_char,
     ref_char_on_polar,
     ref_char_values,
+    ref_husimi,
     ref_squasi_values,
     ref_wigner_parity,
 )
@@ -22,6 +24,7 @@ from subplanck import (
     DensityOp,
     GridResolutionError,
     OrderParam,
+    PureState,
     char_fn,
     char_grid,
     default_grid,
@@ -47,6 +50,7 @@ from subplanck.phasespace import (
     char_on_polar,
     char_values,
     fftconvolve,
+    husimi_values,
     squasi_values,
     state_diagonals,
     wigner_values,
@@ -178,6 +182,58 @@ class TestHusimi:
             q = husimi_grid(st, default_grid(st, resolution=96))
             assert np.all(q.values >= -1e-15)
             assert np.max(q.values) <= 1 / np.pi + 1e-10
+
+    @pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")
+    @pytest.mark.parametrize("make", [
+        lambda: make_compass(3.5355, 64),
+        lambda: make_random(100, seed=2),
+        lambda: make_number(60, 64),
+        lambda: make_coherent(ComplexAmplitude(5.0, 3.0), 128),
+    ], ids=["compass3.5355", "random100", "number60", "coherent53"])
+    def test_matches_mpmath(self, make):
+        # worst |Q - ref| measured: 1.7e-17, 3.4e-17, 1.0e-17 and 2.8e-16 in this order
+        st = make()
+        pts = default_grid(st).points().ravel()
+        pts = pts[np.random.default_rng(0).choice(pts.size, 40, replace=False)]
+        want = np.array([ref_husimi(st.coeffs, a) for a in pts])
+        assert np.max(np.abs(husimi_values(st, pts) - want)) <= 2e-15
+
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, "2L"])
+    def test_block_edges(self, shift):
+        block = phasespace_module._HORNER_BLOCK
+        top = 2 * block if shift == "2L" else block + shift
+        rng = np.random.default_rng(top)
+        c = np.zeros(top + 9, dtype=complex)  # zero padding above the last nonzero level
+        c[1 : top + 1] = rng.normal(size=top) + 1j * rng.normal(size=top)
+        c /= np.linalg.norm(c)
+        padded = PureState(c, normalize=False, fix_phase=False)
+        trimmed = PureState(c[: top + 1], normalize=False, fix_phase=False)
+        pts = np.concatenate([[0.0], np.sqrt(top) * np.exp(1j * np.linspace(0.3, 6.0, 7)),
+                              np.linspace(0.5, 9.0, 6) * np.exp(0.7j)])
+        q = husimi_values(padded, pts)
+        assert q[0] == 0.0  # c_0 = 0: Horner leaves beta_0 = 0 exactly at alpha = 0
+        want = np.array([ref_husimi(c, a) for a in pts])
+        assert np.max(np.abs(q - want)) <= 2e-15  # worst measured over the five: 6.6e-17
+        # levels above the last nonzero coefficient are never visited
+        assert np.array_equal(q, husimi_values(trimmed, pts))
+
+    def test_far_points_read_zero(self):
+        st = make_compass(3.5355, 64)
+        pts = square_grid(60.0, 64).points()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = husimi_values(st, pts)
+        gone = np.exp(-np.abs(pts) ** 2 / 2) == 0
+        assert gone.any() and np.all(np.isfinite(q))
+        assert np.all(q[gone] == 0.0)
+
+    def test_zero_d_points(self, catalog):
+        st = catalog["compass"]
+        a = 0.4 - 1.1j
+        got = husimi_values(st, np.array(a))
+        assert got.shape == ()
+        assert got == husimi_values(st, np.array([a]))[0]
+        assert husimi(st, a) == float(got)
 
 
 class TestSQuasidist:
