@@ -20,7 +20,7 @@ from subplanck import (
     entanglement_fidelity_direct,
     make_coherent,
     make_thermal,
-    mixed_scale_report,
+    scale_report,
 )
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -35,7 +35,7 @@ for nbar in (0.0, 0.5, 1.0, 2.0):
     rows.append(curve)
     closed = 1 / (1 + (2 * nbar + 1) * 1.0 / 2)
     gap = abs(entanglement_fidelity(rho, 1.0) - entanglement_fidelity_direct(rho, 1.0))
-    rep = mixed_scale_report(rho)
+    rep = scale_report(rho)
     print(f"{nbar:5.1f} {rep.fine_scale:11.4f} "
           f"{entanglement_fidelity(rho, 1.0):10.6f} {closed:11.6f} {gap:10.1e}")
 

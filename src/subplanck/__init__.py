@@ -44,11 +44,9 @@ from .phasespace import (
     char_fn,
     char_grid,
     default_grid,
-    grid_eval,
     husimi,
     husimi_grid,
     overlap,
-    s_ordered_char,
     s_quasidist,
     square_grid,
     wigner,
@@ -71,7 +69,6 @@ from .fidelity import (
     squeezed_fidelity,
 )
 from .protocol import (
-    OutcomeSample,
     OutcomeSampler,
     alice_outcome_density,
     average_channel,
@@ -80,16 +77,12 @@ from .protocol import (
     mc_average,
     p_dist,
     p_tilde,
-    sample_outcome,
 )
 from .mixedstate import (
-    BoldEval,
     bold_phi,
     bold_w,
     entanglement_fidelity,
     entanglement_fidelity_direct,
-    mixed_scale_report,
-    purify,
 )
 from .dynamics import (
     EvolutionConfig,

@@ -41,7 +41,6 @@ from .fidelity import (
 from .fock import (
     ComplexAmplitude,
     DensityOp,
-    PureState,
     make_coherent,
     make_compass,
     make_number,
@@ -207,17 +206,6 @@ def write_state_csv(path, state, header=None):
     doc["dim"] = state.dim
     rows = [(n, c.real, c.imag) for n, c in enumerate(state.coeffs)]
     write_csv(path, doc, ["n", "re_c", "im_c"], rows)
-
-
-def read_state_csv(path):
-    """Inverse of write_state_csv."""
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in open(path)
-        if line.strip() and not line.startswith("#")
-    ]
-    arr = np.array(rows)
-    return PureState(arr[:, 1] + 1j * arr[:, 2], normalize=False, fix_phase=False)
 
 
 def _blas_record():

@@ -19,7 +19,13 @@ from scipy.special import gammaln
 
 from .errors import QuadratureError
 from .fock import PureState, _noise_kernel, quad_moments
-from .phasespace import _char_sq_radial, squasi_purity, state_diagonals, wigner_gradient_norm
+from .phasespace import (
+    _char_sq_radial,
+    squasi_purity,
+    state_diagonals,
+    trimmed_support,
+    wigner_gradient_norm,
+)
 from .quadrature import polar_rule
 
 
@@ -119,7 +125,7 @@ def _sized_polar_quadrature(state, a, prefactor, radial_mean):
     go through one `radial_mean` call, on one extraction of the diagonals.
     """
     diags = state_diagonals(state)
-    support = max(d + w.size for d, w in diags)
+    support = trimmed_support(diags)
     # only the rules' radial parts: radial_mean takes the angle exactly
     rules = [polar_rule(1.0 + a, n, 2 * n - 1) for n in (support, support + 1)]
     x = np.concatenate([rule[0] for rule in rules])

@@ -8,40 +8,22 @@ factorize.  The outcome-averaged entanglement fidelity is evaluated two
 ways (the single-variable noise integral and the PHI(mu, mu) integral),
 whose agreement exercises the displacement-group orthogonality
 numerically.  PHI(mu, mu) is averaged over angle in closed form, so neither
-route has a dimension limit (`purify`, on the doubled space, has one).
+route has a dimension limit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubplanckError
-from .fidelity import _sized_polar_quadrature, as_t, scale_report
-from .fock import DensityOp, PureState, _as_complex, _m_seq, displacement_matrix
-from .phasespace import CHUNK_ELEMENTS, _char_sq_radial
-
-DOUBLED_SPACE_LIMIT = 32
+from .fidelity import _sized_polar_quadrature, as_t
+from .fock import _as_complex, _m_seq, displacement_matrix
+from .phasespace import CHUNK_ELEMENTS, _char_sq_radial, trimmed_support
 
 
-@dataclass(frozen=True)
-class BoldEval:
-    """One evaluation of the two-variable characteristic function.
+def bold_phi(rho, mu, alpha) -> complex:
+    """Two-variable characteristic function tr[rho D+(mu) rho D(alpha)].
 
     At equal arguments the value is real and nonnegative; at the origin
     it equals the purity tr rho^2.
     """
-
-    mu: object
-    alpha: object
-    value: complex
-
-    @classmethod
-    def evaluate(cls, rho, mu, alpha):
-        return cls(mu, alpha, bold_phi(rho, mu, alpha))
-
-
-def bold_phi(rho, mu, alpha) -> complex:
-    """Two-variable characteristic function tr[rho D+(mu) rho D(alpha)]."""
     rho = rho.density()
     dmu = displacement_matrix(rho.dim, _as_complex(mu))
     dal = displacement_matrix(rho.dim, _as_complex(alpha))
@@ -79,7 +61,7 @@ def _bold_phi_radial(diags, x):
     increasing d, w_d[n] = rho_{n+d,n}; a diagonal rho keeps only d = 0.
     The slabs kept for the pairing hold at most CHUNK_ELEMENTS values.
     """
-    dim = max(d + w.size for d, w in diags)
+    dim = trimmed_support(diags)
     ks = np.arange(dim)
     c_k = np.where(ks[None, :] > ks[:, None], 2.0, 1.0)  # at (n, n + k)
     grams = [(2.0 if d else 1.0) * c_k[: w.size, : w.size] * np.real(np.outer(w, np.conj(w)))
@@ -124,34 +106,3 @@ def entanglement_fidelity_direct(rho, t) -> float:
     if t == 0:
         return 1.0
     return _sized_polar_quadrature(rho, 2.0 / t, 2.0 / t, _char_sq_radial)
-
-
-# ---------------------------------------------------------------------------
-# purification
-# ---------------------------------------------------------------------------
-
-def sqrt_density(rho: DensityOp) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    if np.min(evals) < -1e-10:
-        raise SubplanckError(f"density operator has eigenvalue {np.min(evals):.3e}")
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-
-
-def purify(rho: DensityOp) -> PureState:
-    """Canonical purification sum_n |n> (x) sqrt(rho)|n> on the doubled space.
-
-    Coefficients are flattened with the ancilla index major: the joint
-    amplitude of |u> (x) |v> sits at u * dim + v.  Partial trace over the
-    ancilla returns rho.
-    """
-    rho = rho.density()
-    if rho.dim > DOUBLED_SPACE_LIMIT:
-        raise SubplanckError(f"purification limited to dim <= {DOUBLED_SPACE_LIMIT}")
-    root = sqrt_density(rho)
-    psi = root.T.reshape(-1)  # psi[u * dim + v] = root[v, u]
-    return PureState(psi, normalize=True, fix_phase=False)
-
-
-# scale_report reads only the quadrature variances, which both state kinds have
-mixed_scale_report = scale_report

@@ -60,18 +60,6 @@ SAMPLER_MIN_MASS = 0.999
 _BLOCK_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class OutcomeSample:
-    """One measurement outcome xi with its probability density."""
-
-    xi: ComplexAmplitude
-    weight: float
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
-
-
 def epr_wigner(t, alpha, beta) -> float:
     """Joint Wigner function of the two-mode squeezed vacuum resource."""
     t = as_t(t)
@@ -210,17 +198,6 @@ class OutcomeSampler:
         xi1 = self.grid.axis1[i] + (rng.random(size) - 0.5) * h1
         xi2 = self.grid.axis2[j] + (rng.random(size) - 0.5) * h2
         return xi1, xi2, np.maximum(self.grid.values.ravel()[idx], 0.0)
-
-
-def sample_outcome(state, t, rng, sampler) -> OutcomeSample:
-    """Draw one measurement outcome distributed as p(xi).
-
-    `sampler` is an `OutcomeSampler(state, t)` that the caller builds once
-    and reuses across draws: its grid costs a C~ build and a 512^2
-    evaluation, far more than a draw.
-    """
-    xi1, xi2, dens = sampler.sample(rng, 1)
-    return OutcomeSample(ComplexAmplitude(float(xi1[0]), float(xi2[0])), float(dens[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, roots_hermite
 
-from subplanck import BoundaryLeakError, PureState
+from subplanck import BoundaryLeakError, DensityOp, PureState, SubplanckError
 from subplanck.dynamics import SpatialGrid, WaveFunction
 
 
@@ -656,7 +656,51 @@ def quadrature_curve(state, ts, form=4, label=""):
     return FidelityCurve(np.asarray(ts, float), f, state=label, method=f"form{form}")
 
 
+def padded_state(state, dim):
+    """The same state on a truncation of size dim >= state.dim (zero padding)."""
+    if isinstance(state, PureState):
+        return PureState(np.pad(state.coeffs, (0, dim - state.dim)), normalize=False, fix_phase=False)
+    return DensityOp(np.pad(state.matrix, (0, dim - state.dim)))
+
+
 def partial_trace_ancilla(joint, dim) -> np.ndarray:
     """Trace out the (major-index) ancilla of a flattened joint pure state."""
     psi = joint.coeffs.reshape(dim, dim)
     return np.einsum("uv,uw->vw", psi, np.conj(psi))
+
+
+# Largest input dimension `purify` accepts: the joint state has dim^2 coefficients.
+DOUBLED_SPACE_LIMIT = 32
+
+
+def sqrt_density(rho) -> np.ndarray:
+    """Positive square root of a density matrix by eigendecomposition."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    if np.min(evals) < -1e-10:
+        raise SubplanckError(f"density operator has eigenvalue {np.min(evals):.3e}")
+    evals = np.clip(evals, 0.0, None)
+    return (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
+
+
+def purify(rho) -> PureState:
+    """Canonical purification sum_n |n> (x) sqrt(rho)|n> on the doubled space.
+
+    Coefficients are flattened with the ancilla index major: the joint
+    amplitude of |u> (x) |v> sits at u * dim + v.  Partial trace over the
+    ancilla returns rho.
+    """
+    rho = rho.density()
+    if rho.dim > DOUBLED_SPACE_LIMIT:
+        raise SubplanckError(f"purification limited to dim <= {DOUBLED_SPACE_LIMIT}")
+    root = sqrt_density(rho)
+    psi = root.T.reshape(-1)  # psi[u * dim + v] = root[v, u]
+    return PureState(psi, normalize=True, fix_phase=False)
+
+
+def read_state_csv(path) -> PureState:
+    """Inverse of `subplanck.cli.write_state_csv`: rows (n, re_c, im_c) after '#' headers."""
+    with open(path) as fh:
+        rows = [[float(v) for v in line.split(",")]
+                for line in fh if line.strip() and not line.startswith("#")]
+    arr = np.array(rows)
+    return PureState(arr[:, 1] + 1j * arr[:, 2], normalize=False, fix_phase=False)

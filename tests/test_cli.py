@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import read_state_csv
+
 import subplanck.cli as cli_module
 from subplanck.cli import StateSpec, main
 
@@ -302,8 +304,6 @@ class TestEvolveCommand:
         assert rows.shape[1] == 4
 
     def test_fock_state_roundtrip(self, tmp_path):
-        from subplanck.cli import read_state_csv
-
         prefix = str(tmp_path / "rt")
         main([
             "evolve", "--t-final", "0.1", "--dt", "0.0005",

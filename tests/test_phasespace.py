@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     gauss_hermite_2d,
+    padded_state,
     ref_char,
     ref_char_on_polar,
     ref_char_values,
@@ -22,13 +23,12 @@ import subplanck.phasespace as phasespace_module
 from subplanck import (
     ComplexAmplitude,
     DensityOp,
-    GridResolutionError,
     OrderParam,
     PureState,
+    QuadratureError,
     char_fn,
     char_grid,
     default_grid,
-    grid_eval,
     husimi,
     husimi_grid,
     make_coherent,
@@ -39,7 +39,6 @@ from subplanck import (
     make_squeezed,
     make_thermal,
     overlap,
-    s_ordered_char,
     s_quasidist,
     square_grid,
     wigner,
@@ -53,6 +52,7 @@ from subplanck.phasespace import (
     husimi_values,
     squasi_values,
     state_diagonals,
+    trimmed_support,
     wigner_values,
 )
 from subplanck.fock import hermite_functions
@@ -93,7 +93,7 @@ class TestCharFn:
             "random20": lambda: make_random(20, seed=3),
             "random100": lambda: make_random(100, seed=5),
         }[name]()
-        support = max(d + w.size for d, w in state_diagonals(st))
+        support = trimmed_support(state_diagonals(st))
         x, theta, _, _ = polar_rule(1.5, support, 2 * support - 1)
         want = ref_char_on_polar(state_diagonals(st), x, theta)
         assert np.array_equal(char_on_polar(st, x, theta), want)
@@ -110,7 +110,7 @@ class TestCharFn:
                   "compass2": lambda: make_compass(2.0, 48),
                   "squeezed0.8": lambda: make_squeezed(0.8, 64)}[name]()
         diags = state_diagonals(st)
-        support = max(d + w.size for d, w in diags)
+        support = trimmed_support(diags)
         theta = 2 * np.pi * np.arange(2 * support - 1) / (2 * support - 1)
         x = np.array([0.3, 1.7, 6.0])
         want = np.mean(np.abs(char_on_polar(st, x, theta)) ** 2, axis=1)
@@ -119,16 +119,6 @@ class TestCharFn:
 
 
 class TestSOrderedChar:
-    def test_s_zero_is_char(self, catalog):
-        mu = ComplexAmplitude(0.5, 0.2)
-        st = catalog["compass"]
-        assert s_ordered_char(st, OrderParam(0.0), mu) == pytest.approx(char_fn(st, mu))
-
-    def test_antinormal_vacuum(self):
-        mu = ComplexAmplitude(0.8, -0.1)
-        got = s_ordered_char(make_number(0, 8), OrderParam(-1.0), mu)
-        assert got == pytest.approx(np.exp(-mu.abs2))
-
     def test_positive_order_rejected(self):
         with pytest.raises(ValueError):
             OrderParam(0.5)
@@ -415,19 +405,11 @@ class TestHermiteKernel:
 
 class TestGrids:
     def test_grid_eval_char_vacuum(self):
-        vac = make_number(0, 8)
-        grid = PhaseGrid(ComplexAmplitude(0, 0), (1.0, 1.0), (2, 2))
-        fn = lambda q1, q2: np.exp(-((q1**2 + q2**2) / 2) / 2)
-        out = grid_eval(fn, grid)
-        ref = char_grid(vac, grid)
-        assert np.max(np.abs(out.values - ref.values)) < 1e-12
-
-    def test_grid_eval_constant_and_deterministic(self):
-        grid = square_grid(2.0, 16)
-        ones = grid_eval(lambda q1, q2: np.ones_like(q1), grid)
-        assert np.all(ones.values == 1.0)
-        again = grid_eval(lambda q1, q2: np.ones_like(q1), grid)
-        assert np.array_equal(ones.values, again.values)
+        # Phi(mu) = e^{-|mu|^2/2} with mu = (q1 + i q2)/sqrt2
+        grid = PhaseGrid(ComplexAmplitude(0.3, -0.2), (3.0, 2.0), (16, 12))
+        q1, q2 = grid.mesh()
+        got = char_grid(make_number(0, 8), grid).values
+        assert np.max(np.abs(got - np.exp(-(q1**2 + q2**2) / 4))) < 1e-12
 
     def test_normalization_and_purity(self, catalog):
         for name, st in catalog.items():
@@ -458,12 +440,40 @@ class TestGrids:
                 )
 
 
+def _rank3(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    return DensityOp(z @ z.conj().T / np.sum(np.abs(z) ** 2))
+
+
 class TestOverlap:
+    def _assert_exact(self, rho1, rho2, want):
+        # both routes within 1e-14 of tr rho1 rho2; measured worst over this class's
+        # cases: 1.6e-15 (catalog pairs), 2.2e-16 (rank-3 and compass), 1.7e-16 (thermal)
+        res = overlap(rho1, rho2)
+        assert abs(res.matrix_value - want) <= 1e-14
+        assert abs(res.grid_value - want) <= 1e-14
+
     def test_pure_self_overlap(self, catalog):
         st = catalog["compass"]
         res = overlap(st, st)
         assert float(res) == pytest.approx(1.0, abs=1e-10)
         assert res.grid_value == pytest.approx(1.0, abs=1e-4)
+
+    def test_catalog_pairs_exact(self, catalog):
+        # each catalog state against itself and the next one, padded to a shared dim
+        states = [padded_state(st, 64) for st in catalog.values()]
+        for a, b in zip(states, states[1:] + states[:1]):
+            for other in (a, b):
+                self._assert_exact(a, other, abs(np.vdot(a.coeffs, other.coeffs)) ** 2)
+
+    def test_mixed_pairs_exact(self):
+        rank3 = _rank3(40, 5)
+        compass = make_compass(2.0, 40)
+        coherent = make_coherent(ComplexAmplitude(1.0, -0.5), 40)
+        self._assert_exact(compass, coherent, abs(np.vdot(compass.coeffs, coherent.coeffs)) ** 2)
+        for other in (rank3, compass.density()):
+            self._assert_exact(rank3, other, float(np.vdot(rank3.matrix, other.matrix).real))
 
     def test_orthogonal_states(self):
         res = overlap(make_number(0, 16), make_number(1, 16))
@@ -474,11 +484,33 @@ class TestOverlap:
         res = overlap(rho, rho)
         assert float(res) == pytest.approx(1 / 3, abs=1e-10)
         assert res.grid_value == pytest.approx(1 / 3, abs=1e-4)
+        self._assert_exact(rho, rho, 1 / 3)
 
-    def test_route_disagreement_raises(self):
+    def test_no_warning_on_ordinary_states(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overlap(make_random(20, seed=1), make_random(20, seed=2))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            overlap(make_number(0, 16), make_number(0, 17))
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        # one C~ off by 1e-9 (relative) moves pi int W1 W2 past the 1e-12 cross-check
+        real = phasespace_module._coefficient_matrix
+        scale = iter([1 + 1e-9, 1.0])
+        monkeypatch.setattr(phasespace_module, "_coefficient_matrix",
+                            lambda state: real(state) * next(scale))
         st = make_compass(2.0, 48)
-        with pytest.raises(GridResolutionError):
-            overlap(st, st, resolution=12)
+        with pytest.raises(QuadratureError):
+            overlap(st, st)
+
+    def test_nan_route_raises(self, monkeypatch):
+        real = phasespace_module._coefficient_matrix
+        monkeypatch.setattr(phasespace_module, "_coefficient_matrix",
+                            lambda state: real(state) * np.nan)
+        with pytest.raises(QuadratureError):
+            overlap(make_number(1, 8), make_number(1, 8))
 
 
 class TestFFTConvolve:
