@@ -14,7 +14,6 @@ from .errors import (
     BoundaryLeakError,
     ConditioningError,
     GridExtentError,
-    GridResolutionError,
     LeakageError,
     QuadratureError,
     SamplingError,

@@ -425,28 +425,21 @@ def cmd_evolve(args):
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
-    unstrided = None  # the one-call run at dt, when this command makes it
-    if cfg.n_steps == 0:
-        final = psi0
-    elif args.snapshot_stride > 0:
-        # march in stride-sized chunks, logging (tau, x, psi) after each
-        snap_rows = []
-        cur, tau = psi0, 0.0
-        done = 0
-        while done < cfg.n_steps:
-            steps = min(args.snapshot_stride, cfg.n_steps - done)
-            part = EvolutionConfig(dt=args.dt, t_final=steps * args.dt, grid=grid)
-            cur = split_step_evolve(cur, KINETIC_COEFF, double_well_potential, part, t0=tau)
-            tau += steps * args.dt
-            done += steps
-            for xv, sv in zip(cur.x, cur.samples):
-                snap_rows.append((tau, xv, sv.real, sv.imag))
-        final = cur
+    # march in stride-sized chunks (one chunk without a stride), logging
+    # (tau, x, psi) after each when a stride was given
+    final, tau, done, snap_rows = psi0, 0.0, 0, []
+    while done < cfg.n_steps:
+        steps = min(args.snapshot_stride or cfg.n_steps, cfg.n_steps - done)
+        part = EvolutionConfig(dt=args.dt, t_final=steps * args.dt, grid=grid)
+        final = split_step_evolve(final, KINETIC_COEFF, double_well_potential, part, t0=tau)
+        tau += steps * args.dt
+        done += steps
+        if args.snapshot_stride:
+            snap_rows.extend((tau, xv, sv.real, sv.imag) for xv, sv in zip(final.x, final.samples))
+    if snap_rows:
         write_csv(args.out_prefix + "_snapshots.csv",
                   {"dt": _fmt(args.dt), "stride": args.snapshot_stride},
                   ["tau", "x", "re_psi", "im_psi"], snap_rows)
-    else:
-        final = unstrided = evolve_chaotic(psi0, cfg)
     write_csv(args.out_prefix + "_final_wavefunction.csv",
               {"t_final": _fmt(args.t_final), "dt": _fmt(args.dt),
                "x_min": _fmt(grid.x_min), "dx": _fmt(grid.dx),
@@ -488,10 +481,8 @@ def cmd_evolve(args):
         runs = []
         for dt_ in (base, base / 2):
             runs.append(evolve_chaotic(psi0, EvolutionConfig(dt=dt_, t_final=args.t_final, grid=grid)))
-        # base / 4 is args.dt exactly, so the finest run is the unstrided one
-        if unstrided is None:
-            unstrided = evolve_chaotic(psi0, EvolutionConfig(dt=base / 4, t_final=args.t_final, grid=grid))
-        runs.append(unstrided)
+        # base / 4 is args.dt exactly, so the finest run is the one-chunk march
+        runs.append(evolve_chaotic(psi0, cfg) if snap_rows else final)
         d1 = float(np.linalg.norm(runs[0].samples - runs[1].samples))
         d2 = float(np.linalg.norm(runs[1].samples - runs[2].samples))
         summary["convergence_ratio"] = d1 / d2

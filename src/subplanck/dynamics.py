@@ -44,7 +44,6 @@ QUADRATIC_COEFF = -8.0
 QUARTIC_COEFF = 0.05
 DRIVE_FREQ = 2.0 * np.pi
 
-EDGE_TOL = 1e-12
 # wavefunction_to_fock: largest norm lost to the truncation, and its size cap.
 LEAK_TOL, MAX_FOCK_DIM = 1e-3, 1024
 
@@ -107,13 +106,6 @@ class WaveFunction:
     @property
     def edge_density(self) -> float:
         return float(max(abs(self.samples[0]) ** 2, abs(self.samples[-1]) ** 2))
-
-    def validate(self):
-        if abs(self.norm2 - 1.0) > 1e-10:
-            raise ValueError(f"norm^2 off by {self.norm2 - 1.0:.3e}")
-        if self.edge_density > EDGE_TOL:
-            raise BoundaryLeakError(f"edge density {self.edge_density:.3e}")
-        return self
 
     def moments(self):
         """(mean x, mean p, <x^2>, <p^2>) by grid and spectral sums."""

@@ -17,10 +17,6 @@ class QuadratureError(SubplanckError):
     """Adaptive quadrature failed to converge."""
 
 
-class GridResolutionError(SubplanckError):
-    """Grid-based evaluation failed its resolution/consistency check."""
-
-
 class GridExtentError(SubplanckError):
     """Spatial grid does not contain the requested state."""
 

@@ -12,13 +12,16 @@ Conventions (used throughout the package):
 Displacement matrix elements <m|D(mu)|n> are evaluated through scaled
 generalized-Laguerre recurrences whose iterates are the matrix elements
 themselves (magnitude <= 1), so they neither overflow nor underflow for
-any truncation or displacement used here; factorial ratios enter only
-through log-gammas.  One private kernel, `_m_seq`, runs that
-recurrence along n for all requested offsets d and all points at once,
-yielding one slab M_n[d, point] per step; every radial sum in the
-package (displacement matrices, the characteristic function on polar
-nodes and the entanglement fidelities) contracts those slabs, so a call
-costs as many Python steps as the longest diagonal it needs.  The Hermite functions (`hermite_rows`,
+any truncation or displacement used here: factorial ratios enter only
+through log-gammas, and points whose start e^{-x/2} would underflow
+(x > 1400) run scaled.
+One private kernel, `_m_seq`, runs that recurrence along n for all
+requested offsets d and all points at once, yielding one slab
+M_n[d, point] per step.  It is the package's only Laguerre recurrence:
+every radial sum (displacement matrices, the characteristic function on
+polar nodes, the entanglement fidelities) and the Gauss-Laguerre weights
+of `quadrature` contract its slabs, so a call costs as many Python steps
+as the longest diagonal it needs.  The Hermite functions (`hermite_rows`,
 `hermite_functions`) serve the position-space projection and the
 separable phase-space kernel of `phasespace`.  The teleportation noise
 channel needs no radial sums: `_noise_kernel` gives the closed binomial
@@ -227,17 +230,28 @@ def _m_seq(ds, counts, x):
     offset) must be nonincreasing: M_n holds only the leading rows with
     counts > n, so a call costs counts[0] Python steps.  The slabs are
     read-only and each is a fresh array, so a caller may keep them.
+
+    Far points (x > 1400, near where the start e^(-x/2) underflows)
+    would read 0 although M_n grows back to O(1) by n ~ x/4, so their
+    columns of the one run carry M = cur e^scale: they start at cur = 1,
+    scale = ln M_0, and cur is divided by 1e120 (scale raised by ln 1e120)
+    wherever it passes 1e120; the slab holds them unscaled.  Every other
+    point runs unscaled, and a call with no far point does no extra work.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(ds, dtype=float)[:, None]
     counts = np.asarray(counts)
     steps = int(counts[0]) if counts.size else 0
     active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
-    # M_0 = x^(d/2) e^(-x/2) / sqrt(d!) in the log domain, so large offsets and
-    # far points underflow cleanly to 0; row d = 0 is e^(-x/2) also at x = 0
+    # M_0 = x^(d/2) e^(-x/2) / sqrt(d!) in the log domain, so large offsets
+    # underflow cleanly to 0; row d = 0 is e^(-x/2) also at x = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(d > 0, 0.5 * d * np.where(x > 0, np.log(x), -np.inf), 0.0)
-    cur = np.exp(power - 0.5 * gammaln(d + 1) - x / 2)
+    log_m0 = power - 0.5 * gammaln(d + 1) - x / 2
+    far = np.flatnonzero(x > 1400.0)
+    scale = log_m0[:, far]
+    cur = np.exp(log_m0)
+    cur[:, far] = 1.0
     prev = np.zeros_like(cur)
     for n in range(steps):
         k = active[n]
@@ -249,7 +263,19 @@ def _m_seq(ds, counts, x):
             nxt -= np.sqrt(m * (m + dk)) * prev
             nxt /= np.sqrt((m + 1) * (m + 1 + dk))
             cur, prev = nxt, cur
-        yield cur
+        if not far.size:
+            yield cur
+            continue
+        scale = scale[:k]
+        big = np.abs(cur[:, far]) > 1e120
+        if big.any():
+            rows, cols = np.nonzero(big)
+            cur[rows, far[cols]] *= 1e-120
+            prev[rows, far[cols]] *= 1e-120
+            scale[big] += np.log(1e120)
+        out = cur.copy()
+        out[:, far] *= np.exp(scale)
+        yield out
 
 
 def _noise_kernel(nbar, d, rows, cols):

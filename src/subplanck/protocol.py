@@ -300,7 +300,6 @@ class MCResult:
     xi1: np.ndarray
     xi2: np.ndarray
     fidelities: np.ndarray
-    seed_info: str = ""
 
 
 def conditional_fidelity(state, t, xi) -> np.ndarray:

@@ -8,15 +8,17 @@ rule.
 The Gauss-Laguerre weights are stored with the e^{+x} factor folded in
 (``w_scaled = w * exp(x)``) so rules can be applied to the *full*
 integrand, exponential decay included, without overflow at high node
-counts.  ``w_scaled`` is computed from the Laguerre-function recurrence
-rather than ``w * exp(x)`` directly, which survives node counts where
-the bare weights underflow.
+counts.  ``w_scaled`` is the Christoffel sum 1 / sum_k M_k^(0)(x)^2 over
+the Laguerre functions of `fock._m_seq`, rather than ``w * exp(x)``
+directly, which survives node counts where the bare weights underflow.
 """
 
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+from .fock import _m_seq
 
 
 @lru_cache(maxsize=64)
@@ -25,9 +27,9 @@ def gauss_laguerre_scaled(n):
 
     Sum_j W_j g(x_j) integrates int_0^inf g(x) dx exactly when
     g(x) = e^{-x} p(x) with p a polynomial of degree <= 2n-1, up to a
-    roundoff that grows with n: Sum_j W_j e^{-x_j} - 1 is 2e-16 at n = 8,
-    2.4e-15 at n = 64, 1.1e-14 at n = 128 and 3.2e-14 at n = 512, and the
-    weights are within 3.4e-14 (n = 64) and 2.0e-13 (n = 128) of 40-digit
+    roundoff that grows with n: Sum_j W_j e^{-x_j} - 1 is 4e-16 at n = 8,
+    3.6e-15 at n = 64, 1.3e-14 at n = 128 and 2.7e-14 at n = 512, and the
+    weights are within 3.5e-14 (n = 64) and 2.1e-13 (n = 128) of 40-digit
     values, the latter set by the node error, so callers should size rules
     from exactness rather than pad them.  Nodes come from the Golub-Welsch
     tridiagonal eigenproblem, which stays stable at orders where
@@ -35,23 +37,12 @@ def gauss_laguerre_scaled(n):
     """
     x = eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n), eigvals_only=True)
     # Christoffel form W_j = 1 / sum_{k<n} lam_k(x_j)^2 of the orthonormal Laguerre
-    # functions lam_k = L_k(x) e^{-x/2}, by their recurrence: a sum of positive terms,
-    # so node errors are not magnified as in x / ((n+1) L_{n+1}(x))^2.  lam_0
-    # underflows for far nodes of large rules, so carry a per-node log rescaling.
-    log_scale = -x / 2
-    lam_prev, lam = np.zeros_like(x), np.ones_like(x)
+    # functions lam_k = L_k(x) e^{-x/2} = M_k^(0)(x): a sum of positive terms, so node
+    # errors are not magnified as in x / ((n+1) L_{n+1}(x))^2
     total = np.zeros_like(x)
-    for k in range(n):
-        total += lam * lam
-        lam, lam_prev = ((2 * k + 1 - x) * lam - k * lam_prev) / (k + 1), lam
-        big = np.abs(lam) > 1e120
-        if np.any(big):
-            lam = np.where(big, lam * 1e-120, lam)
-            lam_prev = np.where(big, lam_prev * 1e-120, lam_prev)
-            total = np.where(big, total * 1e-240, total)
-            log_scale = np.where(big, log_scale + np.log(1e120), log_scale)
-    log_w = -np.log(total) - 2.0 * log_scale
-    w = np.exp(log_w)
+    for lam in _m_seq([0], [n], x):
+        total += lam[0] * lam[0]
+    w = 1.0 / total
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

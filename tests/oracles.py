@@ -509,9 +509,12 @@ def ref_char_values(state, points):
 # pi int Q^2 and the Wigner-gradient slope on sampled default grids, with
 # their resolution cross-checks.
 
+class GridResolutionError(SubplanckError):
+    """Grid-based evaluation failed its resolution/consistency check."""
+
+
 def ref_grid_pair_form(state, t, form):
     """Form 2 or 3 on the 256^2 default Wigner grid, cross-checked at 512^2 to 2e-5."""
-    from subplanck import GridResolutionError
     from subplanck.phasespace import cached_default_wigner, gaussian_pair_integral
 
     if form == 2:
@@ -553,7 +556,7 @@ def _ref_grid_slope(state, resolution):
 def ref_grid_slope(state):
     """-(pi/8) int |grad W|^2 by finite differences at 512^2, then 1024^2,
     returning the first within 1e-3 (relative) of the variance route."""
-    from subplanck import GridResolutionError, quad_moments
+    from subplanck import quad_moments
 
     _, _, vx, vp = quad_moments(state)
     variance_value = -(vx + vp) / 2.0

@@ -351,7 +351,9 @@ class TestEvolveCommand:
 
 
     def test_convergence_reuses_unstrided_run(self, tmp_path, monkeypatch):
-        from subplanck.dynamics import EvolutionConfig, SpatialGrid, coherent_wavefunction, evolve_chaotic
+        from subplanck.dynamics import (
+            EvolutionConfig, SpatialGrid, coherent_wavefunction, evolve_chaotic, split_step_evolve,
+        )
 
         argv = ["evolve", "--t-final", "0.02", "--dt", "0.0005",
                 "--grid-points", "512", "--grid-min", "-24", "--grid-max", "24", "--t-steps", "3"]
@@ -359,11 +361,16 @@ class TestEvolveCommand:
         assert main(argv + ["--out-prefix", plain]) == 0
         calls = []
 
-        def counting(psi, config):
-            calls.append(config.dt)
-            return evolve_chaotic(psi, config)
+        def counting(real):
+            # the dt of every evolution the command runs, in call order
+            def wrapped(*args, **kwargs):
+                calls.extend(a.dt for a in args if isinstance(a, EvolutionConfig))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "evolve_chaotic", counting)
+            return wrapped
+
+        monkeypatch.setattr(cli_module, "evolve_chaotic", counting(evolve_chaotic))
+        monkeypatch.setattr(cli_module, "split_step_evolve", counting(split_step_evolve))
         assert main(argv + ["--convergence", "--out-prefix", conv]) == 0
         assert calls == [0.0005, 0.002, 0.001]  # the run at dt is not repeated
         # the summary the four-run command wrote, byte for byte

@@ -21,6 +21,7 @@ from subplanck import (
     PureState,
     QuadratureError,
     SqueezeParam,
+    average_channel,
     classical_fidelity,
     coherent_fidelity,
     compass_fidelity,
@@ -42,6 +43,7 @@ from subplanck import (
 )
 import subplanck.fidelity as fidelity_module
 from subplanck.fidelity import as_t
+from subplanck.phasespace import state_diagonals, trimmed_support
 from subplanck.quadrature import gauss_laguerre_scaled
 
 
@@ -153,9 +155,20 @@ class TestQuadratureForms:
             fidelity_quadrature(make_number(1, 8), 1.0, form)
         assert calls == [2 + 3]  # D = 2 from the support of |1>, then the D + 1 rule
 
+    def test_form4_with_rule_nodes_past_the_underflow(self):
+        # the D = 420 rules reach x ~ 1680, where the radial start e^(-x/2) underflows
+        st = make_random(420, seed=1)
+        rho = average_channel(st, 0.02)
+        psi = st.padded(rho.dim).coeffs
+        exact = float(np.real(np.vdot(psi, rho.matrix @ psi)))
+        assert abs(fidelity_quadrature(st, 0.02, 4) - exact) <= 1e-13
+
     @pytest.mark.parametrize("form", [1, 4])
     @pytest.mark.parametrize("name", ["number3", "coherent", "squeezed", "compass", "random20"])
     def test_one_diagonal_and_one_radial_pass(self, catalog, count_calls, name, form):
+        # the rules are built first: building one runs the radial kernel too
+        support = trimmed_support(state_diagonals(catalog[name]))
+        gauss_laguerre_scaled(support), gauss_laguerre_scaled(support + 1)
         diagonals, radial = count_calls("state_diagonals"), count_calls("_m_seq")
         fidelity_quadrature(catalog[name], 0.7, form)
         assert (len(diagonals), len(radial)) == (1, 1)
@@ -177,6 +190,12 @@ class TestLaguerreRule:
         x, w = gauss_laguerre_scaled(n)
         wr = np.array([float(v) for v in ref_gauss_laguerre_scaled(n)[1]])
         assert np.max(np.abs(w - wr) / wr) <= tol
+
+    def test_zeroth_moment_at_512_nodes(self):
+        # the far nodes (x up to ~2040) take their weights from the rescaled recurrence
+        x, w = gauss_laguerre_scaled(512)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+        assert abs(float(np.sum(w * np.exp(-x))) - 1.0) <= 5e-14
 
 
 class TestClosedForms:
@@ -328,6 +347,14 @@ class TestSlopeAndScales:
         monkeypatch.setattr(fidelity_module, "wigner_gradient_norm", lambda st: 0.6)
         with pytest.raises(QuadratureError):
             slope_at_zero(make_number(0, 8), "gradient")
+
+    @pytest.mark.parametrize("off", [1 + 1e-9, np.nan])
+    def test_gradient_route_small_disagreement_raises(self, monkeypatch, off):
+        # the two routes agree to ~1e-14, so a norm 1e-9 off (or NaN) must not pass the cross-check
+        real = fidelity_module.wigner_gradient_norm
+        monkeypatch.setattr(fidelity_module, "wigner_gradient_norm", lambda st: real(st) * off)
+        with pytest.raises(QuadratureError):
+            slope_at_zero(make_compass(2.0, 64), "gradient")
 
     def test_gradient_route_rejects_mixed_input(self):
         # the gradient identity holds for pure states only: a wrong type, not a numerical failure

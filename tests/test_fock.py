@@ -138,6 +138,17 @@ class TestRadialKernel:
         for got, ref in zip(_m_seq(ds, counts, xs), want, strict=True):
             assert np.array_equal(got, ref)
 
+    def test_far_points_match_mpmath(self):
+        # past x ~ 1490 the start e^(-x/2) underflows, yet M_n^(d) is back to ~1e-2
+        # by n ~ x/4; x = 0 and 1e-300 ride in the same call on the plain path
+        ds, counts = np.array([10, 3, 0]), np.array([601, 421, 401])
+        xs = np.array([0.0, 1e-300, 1500.0, 1700.0, 2300.0])
+        slabs = list(_m_seq(ds, counts, xs))
+        for row, (n, d, x) in enumerate([(600, 10, 2300.0), (420, 3, 1700.0), (400, 0, 1500.0)]):
+            want = np.array([ref_m_element(n, d, v) for v in xs])
+            assert abs(ref_m_element(n, d, x)) > 1e-3
+            assert np.max(np.abs(slabs[n][row] - want)) <= 1e-14
+
 
 class TestCoherent:
     def test_zero_is_vacuum(self):

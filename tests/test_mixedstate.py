@@ -24,6 +24,7 @@ from subplanck import (
     wigner,
 )
 from subplanck.phasespace import state_diagonals, trimmed_support
+from subplanck.quadrature import gauss_laguerre_scaled
 
 
 def random_mixed(dim, seed, rank=None):
@@ -237,6 +238,9 @@ class TestEntanglementFidelity:
         # thermal nbar = 1 keeps D = 59 at dim 64, so all 2D + 1 nodes fit one node block
         for rho in (make_thermal(1.0, 64), random_mixed(20, 3, rank=4),
                     make_coherent(ComplexAmplitude(1.0, -0.5), 40).density()):
+            # the rules are built first: building one runs the radial kernel too
+            support = trimmed_support(state_diagonals(rho))
+            gauss_laguerre_scaled(support), gauss_laguerre_scaled(support + 1)
             diagonals, radial = count_calls("state_diagonals"), count_calls("_m_seq")
             fn(rho, 0.7)
             assert (len(diagonals), len(radial)) == (1, 1)
