@@ -391,6 +391,8 @@ def cmd_teleport_mc(args):
         "stderr": float(np.std(result.fidelities) / np.sqrt(args.samples)),
         "closed_form": None if closed is None else float(closed(args.t)),
         "l1_distance_to_average_channel": l1,
+        "contraction_rank": result.rank,
+        "kernel_size": result.kernel_size,
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -424,6 +426,11 @@ def cmd_evolve(args):
     ts = _t_samples(args)
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
+    if args.convergence:
+        if args.t_final <= 0:  # all three runs would be the initial state: no ratio
+            raise ValidationFailure("--convergence needs --t-final > 0")
+        base = args.dt * 4
+        coarse = [EvolutionConfig(dt=dt_, t_final=args.t_final, grid=grid) for dt_ in (base, base / 2)]
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
     # march in stride-sized chunks (one chunk without a stride), logging
     # (tau, x, psi) after each when a stride was given
@@ -477,10 +484,7 @@ def cmd_evolve(args):
         "max_dev_dim100": float(max(abs(r[1] - r[3]) for r in rows)),
     }
     if args.convergence:
-        base = args.dt * 4
-        runs = []
-        for dt_ in (base, base / 2):
-            runs.append(evolve_chaotic(psi0, EvolutionConfig(dt=dt_, t_final=args.t_final, grid=grid)))
+        runs = [evolve_chaotic(psi0, c) for c in coarse]
         # base / 4 is args.dt exactly, so the finest run is the one-chunk march
         runs.append(evolve_chaotic(psi0, cfg) if snap_rows else final)
         d1 = float(np.linalg.norm(runs[0].samples - runs[1].samples))

@@ -343,15 +343,20 @@ def _coefficient_matrix(state):
     degree <= 4D - 4 per axis (D the trimmed support), so K = 2D - 1 Gauss-
     Hermite nodes per axis give C~ exactly: C = (H w) F (H w)^T with F the
     density at the rotated nodes and w_a = 1 / sum_j h_j(u_a)^2.  Returns a
-    real K x K matrix.
+    real K x K matrix; raises QuadratureError where those sums underflow
+    to 0, which first happens at D = 384.
     """
     dim = trimmed_support(state_diagonals(state))
     k = 2 * dim - 1
     u = roots_hermite(k)[0]
     u = (u - u[::-1]) / 2.0  # exactly antisymmetric
-    f = _rotated_density(state, dim, u)
     h = hermite_functions(u, k)
-    hw = _floored(h / np.sum(h * h, axis=0))
+    norms = np.sum(h * h, axis=0)
+    if not np.all(norms > 0.0):  # the outer nodes' Hermite values underflow (D >= 384)
+        raise QuadratureError(f"Christoffel weights of the {k}-node Gauss-Hermite rule underflow "
+                              f"at trimmed support {dim}")
+    hw = _floored(h / norms)
+    f = _rotated_density(state, dim, u)
     x_re, x_im = _floored(hw @ _floored(f.real.copy())), _floored(hw @ _floored(f.imag.copy()))
     # C~_jk = Re(C_jk i^k): columns k = 0, 1, 2, 3 mod 4 take Re C, -Im C, -Re C, Im C
     out = np.empty((k, k))

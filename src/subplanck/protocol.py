@@ -12,7 +12,13 @@ both pointwise values and the sampler's grid come from the closed
 s-ordered kernel.  Conditional outputs are Wigner grids (never
 matrices), in closed form from the same kernel: p(xi) W(beta | xi) is a
 Gaussian in beta - xi times W^(s) at s = -4t/(4 + t^2), separable per
-quadrature (`ConditionalKernel`), so no input grid is sampled.
+quadrature (`ConditionalKernel`), so no input grid is sampled.  An
+outcome's grid is L N R^T with N the K x K matrix of W^(s); the Monte
+Carlo mean contracts through N = A B^T, the SVD truncated at numpy's
+rank tolerance s_0 K eps (Eckart-Young: an error within the roundoff
+bound of the product with N), when its rank r makes that cheaper
+(r (2K + n) < K (K + n) for n nodes per axis): r = 1 for Gaussian
+inputs and 4 for compass states; random states (r near K) keep N.
 Per-sample fidelities come from the closed form
 f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the unity-gain output
 T(xi) rho T(xi)+ / p(xi) (Hofmann et al., Phys. Rev. A 62, 062304
@@ -293,13 +299,17 @@ class MCResult:
     """Empirical mean of conditional outputs plus per-sample trajectories.
 
     `fidelities[k]` is `conditional_fidelity` at outcome (xi1[k], xi2[k]),
-    for pure and mixed inputs alike.
+    for pure and mixed inputs alike.  `rank` is the inner dimension the
+    mean grid was contracted through: the numerical rank r of the K x K
+    matrix N when its factored pair is cheaper, else `kernel_size` K.
     """
 
     grid: PhaseGrid
     xi1: np.ndarray
     xi2: np.ndarray
     fidelities: np.ndarray
+    rank: int
+    kernel_size: int
 
 
 def conditional_fidelity(state, t, xi) -> np.ndarray:
@@ -328,6 +338,24 @@ def _fidelity_from(ctilde, t, xi):
     return 2.0 * np.pi / t * _squasi_from(ctilde, -2.0 / t, xi) ** 2 / p
 
 
+def _contraction_pair(coeffs, n1, n2):
+    """(A^T, B^T) with N = A B^T, B^T None for the identity; floored.
+
+    A = U_r S_r and B = V_r keep the r singular values of N above
+    s_0 K eps, numpy's `matrix_rank` tolerance: by Eckart-Young the
+    dropped part has spectral norm at most that, the bound on the roundoff
+    of the direct product with N.  Per outcome the factored contraction
+    costs 2 r (K (n1 + n2) + n1 n2) flops against 2 K (K n1 + n1 n2) with
+    N itself, so the pair is (N, identity) unless it is cheaper.
+    """
+    k = coeffs.shape[0]
+    u, sv, vt = np.linalg.svd(coeffs)
+    r = int(np.count_nonzero(sv > sv[0] * k * np.finfo(float).eps))
+    if r * (k * (n1 + n2) + n1 * n2) >= k * (k * n1 + n1 * n2):
+        return coeffs.T, None
+    return _floored((u[:, :r] * sv[:r]).T), _floored(vt[:r])
+
+
 def mc_average(state, t, samples, rng, sampler) -> MCResult:
     """Monte Carlo average over measurement outcomes of conditional outputs.
 
@@ -335,16 +363,19 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     the caller builds once and may reuse across calls (its grid costs a C~
     build of its own).  Each outcome's grid is weighted by 1/q(xi), q the
     sampler's cell density, so the mean is an unbiased importance-sampling
-    estimate of the averaged channel's output.  Each chunk of b outcomes,
-    with b factor matrices per component within CHUNK_ELEMENTS values, has
-    one floored (K, b (n1 + n2)) table from `ConditionalKernel.factors` and
-    costs two matrix products on views, each into a buffer reused across
-    chunks: N.T @ left, and the sum over the chunk as one product over the
-    stacked (K, outcome) index.  No factor is copied or transposed.  Chunk
-    sums are added with compensated summation.  Per-sample fidelities are
-    the closed form `conditional_fidelity` at the drawn outcomes, for pure
-    and mixed inputs alike; their mean estimates the (entanglement)
-    fidelity.
+    estimate of the averaged channel's output.  The kernel's K x K matrix
+    N is factored once per call as N = A B^T through its numerical rank r
+    (`_contraction_pair`; A = N and B = I when that is not cheaper, as for
+    random states).  Each chunk of b outcomes, with b factor matrices per
+    component within CHUNK_ELEMENTS values, has one floored
+    (K, b (n1 + n2)) table from `ConditionalKernel.factors` and costs
+    matrix products on views, each into a buffer reused across chunks:
+    A.T @ left, B.T @ right (skipped when B = I), and the sum over the
+    chunk as one product over the stacked (r, outcome) index.  No factor
+    is copied or transposed.  Chunk sums are added with compensated
+    summation.  Per-sample fidelities are the closed form
+    `conditional_fidelity` at the drawn outcomes, for pure and mixed
+    inputs alike; their mean estimates the (entanglement) fidelity.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -355,9 +386,11 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     fids = _fidelity_from(kern.ctilde, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     n1, n2 = kern.out_grid.resolution
     k = kern.coeffs.shape[0]
+    a_t, b_t = _contraction_pair(kern.coeffs, n1, n2)
+    r = a_t.shape[0]
     chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * k))
     weights = -2.0 * kern.order / (np.pi * dens)
-    lhs_buf, rhs_buf = np.empty(k * chunk * n1), np.empty(k * chunk * n2)
+    lhs_buf, rhs_buf = np.empty(r * chunk * n1), np.empty(r * chunk * n2)
     vals = np.empty((n1, n2))
     acc = np.zeros((n1, n2))
     comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
@@ -365,12 +398,14 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
         part = slice(lo, lo + chunk)
         left, right = kern.factors(xi1s[part], xi2s[part])
         b = left.shape[1] // n1
-        # lhs_t[c, (m, i)] = (L_m @ N)[i, c] and rhs[c, m, j] = w_m R_m[j, c]
-        lhs_t = np.matmul(kern.coeffs.T, left, out=lhs_buf[: k * b * n1].reshape(k, b * n1))
-        rhs = np.multiply(right.reshape(k, b, n2), weights[part, None],
-                          out=rhs_buf[: k * b * n2].reshape(k, b, n2))
-        # sum_m (L_m @ N) @ (w_m R_m).T as one product over the index (c, m)
-        np.matmul(lhs_t.reshape(k * b, n1).T, rhs.reshape(k * b, n2), out=vals)
+        # lhs[c, (m, i)] = (L_m @ A)[i, c] and rhs[c, m, j] = w_m (R_m @ B)[j, c]
+        lhs = np.matmul(a_t, left, out=lhs_buf[: r * b * n1].reshape(r, b * n1))
+        rhs = rhs_buf[: r * b * n2].reshape(r, b, n2)
+        if b_t is not None:
+            right = np.matmul(b_t, right, out=rhs.reshape(r, b * n2))
+        np.multiply(right.reshape(r, b, n2), weights[part, None], out=rhs)
+        # sum_m (L_m @ A) @ (w_m R_m @ B).T as one product over the index (c, m)
+        np.matmul(lhs.reshape(r * b, n1).T, rhs.reshape(r * b, n2), out=vals)
         del left, right  # free this chunk's table before the next one is built
         vals -= comp
         new = acc + vals
@@ -378,4 +413,4 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
         comp -= vals
         acc = new
     mean = acc / samples
-    return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids)
+    return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids, r, k)

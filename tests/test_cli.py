@@ -253,6 +253,8 @@ class TestTeleportMCCommand:
         se = summary["stderr"]
         assert abs(summary["mean_conditional_fidelity"] - 2 / 3) < 3.5 * se
         assert summary["l1_distance_to_average_channel"] < 0.2
+        # a coherent input's W^(s) is separable: the mean contracts through rank 1
+        assert (summary["contraction_rank"], summary["kernel_size"]) == (1, 53)
 
     def test_thermal_input(self, tmp_path):
         out = tmp_path / "th.csv"
@@ -349,6 +351,16 @@ class TestEvolveCommand:
         psi2 = rows[:, 1] ** 2 + rows[:, 2] ** 2
         assert x[np.argmax(psi2)] == pytest.approx(-8.0, abs=0.05)
 
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-final", "0"],  # three runs of zero steps have no convergence ratio
+        ["--t-final", "0.001", "--dt", "0.0005"],  # not a whole number of steps of 4 dt
+    ])
+    def test_convergence_flags_refused_before_output(self, tmp_path, capsys, flags):
+        rc = main(["evolve", *flags, "--convergence", "--out-prefix", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_convergence_reuses_unstrided_run(self, tmp_path, monkeypatch):
         from subplanck.dynamics import (

@@ -44,12 +44,14 @@ from subplanck import (
     wigner,
     wigner_grid,
 )
+from subplanck.fidelity import fidelity_quadrature
 from subplanck.phasespace import (
     PhaseGrid,
     char_on_polar,
     char_values,
     fftconvolve,
     husimi_values,
+    squasi_purity,
     squasi_values,
     state_diagonals,
     trimmed_support,
@@ -401,6 +403,14 @@ class TestHermiteKernel:
     def test_positive_s_rejected(self, catalog):
         with pytest.raises(ValueError):
             squasi_values(catalog["vacuum"], 0.5, np.array(0.0j))
+
+    def test_christoffel_underflow_raises(self):
+        # from trimmed support 384 the outermost nodes' sums of h_j^2 underflow
+        # to 0, so dividing by them would make C~ NaN
+        with pytest.raises(QuadratureError, match="underflow"):
+            squasi_purity(make_thermal(10, 400), 0.0)
+        with pytest.raises(QuadratureError, match="underflow"):
+            fidelity_quadrature(make_random(400, seed=1), 1.0, 3)
 
 
 class TestGrids:

@@ -4,13 +4,15 @@ Each tolerance sits next to the worst case measured for it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import padded_state
+from oracles import density_at, padded_state, ref_mc_average
 
-from subplanck import DensityOp, PureState, make_number
+from subplanck import DensityOp, PureState, make_number, make_rng
 from subplanck.phasespace import husimi_values, overlap, squasi_purity, squasi_values
+from subplanck.protocol import ConditionalKernel, OutcomeSampler, mc_average
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -92,3 +94,17 @@ def test_overlap_routes_equal_trace_product(rho1, rho2):
 def test_wigner_purity_is_trace_square(rho):
     # measured worst |pi int W^2 - tr rho^2|: 2.4e-15 over 300 draws of these strategies
     assert abs(squasi_purity(rho, 0.0) - trace_product(rho, rho)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")  # random states fill the top level
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(states, st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_mc_average_matches_per_sample_loop(rho, t, samples, seed):
+    # the contraction through N's numerical rank (10 of these 20 draws are
+    # factored) against the per-outcome L @ N @ R.T: measured worst 2.1e-15
+    # here, 6.4e-14 over 300 draws (5e-16 with N itself)
+    sampler = OutcomeSampler(rho, t, resolution=128)
+    res = mc_average(rho, t, samples, make_rng(seed), sampler=sampler)
+    ref = ref_mc_average(ConditionalKernel(rho, t), res.xi1, res.xi2,
+                         density_at(sampler, res.xi1, res.xi2))
+    assert np.max(np.abs(res.grid.values - ref)) <= 1e-12

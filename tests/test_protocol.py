@@ -519,6 +519,34 @@ class TestBatchedMonteCarlo:
         assert np.max(np.abs(default.grid.values - single.grid.values)) <= 1e-13
 
 
+class TestLowRankContraction:
+    """mc_average contracts through the numerical rank r of N when that is cheaper."""
+
+    @pytest.mark.parametrize("name,t,rank,k", [
+        ("coherent", 0.5, 1, 57), ("coherent", 1.0, 1, 57), ("thermal", 1.0, 1, 117),
+        ("compass2", 0.5, 4, 89), ("compass2", 1.0, 4, 89), ("random20", 0.5, 39, 39),
+    ])
+    @pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")  # random-20's top level
+    def test_recorded_rank(self, name, t, rank, k):
+        # Gaussian inputs have separable W^(s): r = 1; random-20 stays unfactored (r = K)
+        state = {"thermal": lambda: make_thermal(1.0, 64),
+                 "random20": lambda: make_random(20, seed=1), **MC_STATES}[name]()
+        sampler = OutcomeSampler(state, t, resolution=128)
+        res = mc_average(state, t, 2, make_rng(3), sampler=sampler)
+        assert (res.rank, res.kernel_size) == (rank, k)
+
+    @pytest.mark.parametrize("name", ["coherent", "compass2"])
+    def test_pair_reproduces_n_within_rank_tolerance(self, name):
+        n = ConditionalKernel(MC_STATES[name](), 0.5).coeffs
+        a_t, b_t = protocol._contraction_pair(n, 128, 128)
+        assert a_t.shape[0] < n.shape[0]
+        # Eckart-Young: spectral error <= s_0 K eps; the SVD's own roundoff is as large
+        tol = np.linalg.norm(n, 2) * n.shape[0] * np.finfo(float).eps
+        assert np.linalg.norm(a_t.T @ b_t - n, 2) <= 2.0 * tol
+        for f in (a_t, b_t):  # zero or normal, as the factor tables are
+            assert np.all(np.abs(f[f != 0.0]) >= np.finfo(float).tiny)
+
+
 class TestConditionalFidelity:
     def test_heterodyne_limit(self, coh):
         # at t = 2 Bob holds |xi>, so f(xi) = |<xi|psi>|^2 = pi Q(xi)
