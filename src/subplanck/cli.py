@@ -388,9 +388,11 @@ def cmd_teleport_mc(args):
     closed = spec.closed_form()
     summary = {
         "mean_conditional_fidelity": float(np.mean(result.fidelities)),
-        "stderr": float(np.std(result.fidelities) / np.sqrt(args.samples)),
+        "stderr": (float(np.std(result.fidelities, ddof=1) / np.sqrt(args.samples))
+                   if args.samples > 1 else None),
         "closed_form": None if closed is None else float(closed(args.t)),
         "l1_distance_to_average_channel": l1,
+        "contraction_orders": result.orders,
         "contraction_rank": result.rank,
         "kernel_size": result.kernel_size,
         "samples": args.samples,

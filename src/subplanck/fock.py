@@ -229,7 +229,9 @@ def _m_seq(ds, counts, x):
     Yields M_n, n = 0 .. counts[0] - 1.  `counts` (iterates wanted per
     offset) must be nonincreasing: M_n holds only the leading rows with
     counts > n, so a call costs counts[0] Python steps.  The slabs are
-    read-only and each is a fresh array, so a caller may keep them.
+    read-only views of three buffers that the call reuses, and each is
+    overwritten two steps after it is yielded: a caller that keeps slabs
+    must copy them.  Far-point slabs are fresh copies.
 
     Far points (x > 1400, near where the start e^(-x/2) underflows)
     would read 0 although M_n grows back to O(1) by n ~ x/4, so their
@@ -253,16 +255,18 @@ def _m_seq(ds, counts, x):
     cur = np.exp(log_m0)
     cur[:, far] = 1.0
     prev = np.zeros_like(cur)
+    spare = np.empty_like(cur)
     for n in range(steps):
         k = active[n]
-        cur, prev = cur[:k], prev[:k]
+        cur, prev, spare = cur[:k], prev[:k], spare[:k]
         if n:
             m, dk = n - 1, d[:k]
-            nxt = np.subtract(2 * m + 1 + dk, x)
+            nxt = np.subtract(2 * m + 1 + dk, x, out=spare)
             nxt *= cur
-            nxt -= np.sqrt(m * (m + dk)) * prev
+            prev *= np.sqrt(m * (m + dk))  # M_{n-2} is spent: scale it in place
+            nxt -= prev
             nxt /= np.sqrt((m + 1) * (m + 1 + dk))
-            cur, prev = nxt, cur
+            cur, prev, spare = nxt, cur, prev
         if not far.size:
             yield cur
             continue

@@ -72,6 +72,7 @@ def _bold_phi_radial(diags, x):
         acc = out[lo : lo + block]
         slabs = []
         for m, slab in enumerate(_m_seq(ks, dim - ks, x[lo : lo + block])):
+            slab = slab.copy()  # _m_seq reuses its buffers
             slabs.append(slab)
             for (d, w), g in zip(diags, grams):
                 n = m - d  # M_n pairs with M_{n+d} over k < w_d.size - n

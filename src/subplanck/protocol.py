@@ -13,12 +13,19 @@ s-ordered kernel.  Conditional outputs are Wigner grids (never
 matrices), in closed form from the same kernel: p(xi) W(beta | xi) is a
 Gaussian in beta - xi times W^(s) at s = -4t/(4 + t^2), separable per
 quadrature (`ConditionalKernel`), so no input grid is sampled.  An
-outcome's grid is L N R^T with N the K x K matrix of W^(s); the Monte
-Carlo mean contracts through N = A B^T, the SVD truncated at numpy's
-rank tolerance s_0 K eps (Eckart-Young: an error within the roundoff
-bound of the product with N), when its rank r makes that cheaper
-(r (2K + n) < K (K + n) for n nodes per axis): r = 1 for Gaussian
-inputs and 4 for compass states; random states (r near K) keep N.
+outcome's grid is L N R^T with N the K x K matrix of W^(s).  The Monte
+Carlo mean contracts over N's leading j Hermite orders only, the fewest
+whose dropped border has Frobenius norm within numpy's rank tolerance
+s_0 K eps (the smoothing to W^(s) leaves the trailing orders below
+roundoff: j = 23-24 of K = 57 for coherent (1, 0.5) and 45-47 of 89
+for compass 2, both at dim 48 and t = 0.5-1), and through the j x j
+block's SVD truncated at the same tolerance, A B^T, when its rank r
+makes that cheaper (r (2j + n) < j (j + n) for n nodes per axis):
+r = 1 for Gaussian inputs and 4 for compass states; random states
+(r near K) keep the block.  Border and dropped singular values
+(Eckart-Young) each cost at most s_0 K eps, the roundoff bound of the
+product with N, and the Hermite tables of each chunk of outcomes hold
+only the j orders.
 Per-sample fidelities come from the closed form
 f(xi) = (2 pi/t) W^(-2/t)(xi)^2 / W^(s_t)(xi) of the unity-gain output
 T(xi) rho T(xi)+ / p(xi) (Hofmann et al., Phys. Rev. A 62, 062304
@@ -250,18 +257,22 @@ class ConditionalKernel:
               + 4.0 * np.sqrt(max(vx, vp) + (1.0 + t * t / 4.0) / (2.0 * t)))
         self.out_grid = PhaseGrid(ComplexAmplitude(mx, mp), (hw, hw), (128, 128))
 
-    def factors(self, xi1, xi2):
+    def factors(self, xi1, xi2, orders=None):
         """Floored (left, right) for outcomes (xi1[m], xi2[m]), m < b.
 
-        Both are column blocks of one (K, b (n1 + n2)) table built by one
-        `hermite_functions` pass, left of shape (K, b n1) and right of
-        shape (K, b n2): left[:, m n1 + i] = L_m[i] and right[:, m n2 + j]
-        = R_m[j], where p(xi_m) W(b | xi_m) = (-2s/pi) L_m @ coeffs @ R_m.T.
-        Entries below 1e-100 are exactly 0, all others normal.  The
-        Gaussians and the floor are applied in row blocks, so no
-        temporary the size of the table is made.
+        Both are column blocks of one (q, b (n1 + n2)) table built by one
+        `hermite_functions` pass over the leading q = `orders` Hermite
+        orders (default all K), left of shape (q, b n1) and right of
+        shape (q, b n2): left[:, m n1 + i] = L_m[i] and right[:, m n2 + j]
+        = R_m[j], where p(xi_m) W(b | xi_m) = (-2s/pi) L_m @ coeffs @ R_m.T
+        at q = K; a smaller q gives the same leading rows (`mc_average`
+        contracts them with N's leading q x q block).  Entries below
+        1e-100 are exactly 0, all others normal.  The Gaussians and the
+        floor are applied in row blocks, so no temporary the size of the
+        table is made.
         """
-        s, kappa, k = self.order, self.kappa, self.coeffs.shape[0]
+        s, kappa = self.order, self.kappa
+        k = self.coeffs.shape[0] if orders is None else orders
         scale = np.sqrt(2.0 / (1.0 - s))
         nodes, gauss = [], []
         for b, xs in ((self.out_grid.axis1, xi1), (self.out_grid.axis2, xi2)):
@@ -299,9 +310,11 @@ class MCResult:
     """Empirical mean of conditional outputs plus per-sample trajectories.
 
     `fidelities[k]` is `conditional_fidelity` at outcome (xi1[k], xi2[k]),
-    for pure and mixed inputs alike.  `rank` is the inner dimension the
-    mean grid was contracted through: the numerical rank r of the K x K
-    matrix N when its factored pair is cheaper, else `kernel_size` K.
+    for pure and mixed inputs alike.  `orders` is the number j of leading
+    Hermite orders of the K x K matrix N (K = `kernel_size`) that the mean
+    grid was contracted over, and `rank` the inner dimension: the
+    numerical rank r of N's leading j x j block when its factored pair is
+    cheaper, else j.
     """
 
     grid: PhaseGrid
@@ -310,6 +323,7 @@ class MCResult:
     fidelities: np.ndarray
     rank: int
     kernel_size: int
+    orders: int
 
 
 def conditional_fidelity(state, t, xi) -> np.ndarray:
@@ -339,20 +353,37 @@ def _fidelity_from(ctilde, t, xi):
 
 
 def _contraction_pair(coeffs, n1, n2):
-    """(A^T, B^T) with N = A B^T, B^T None for the identity; floored.
+    """(A^T, B^T) with N ~ A B^T on N's leading j orders, B^T None for the identity; floored.
 
-    A = U_r S_r and B = V_r keep the r singular values of N above
-    s_0 K eps, numpy's `matrix_rank` tolerance: by Eckart-Young the
-    dropped part has spectral norm at most that, the bound on the roundoff
-    of the direct product with N.  Per outcome the factored contraction
-    costs 2 r (K (n1 + n2) + n1 n2) flops against 2 K (K n1 + n1 n2) with
-    N itself, so the pair is (N, identity) unless it is cheaper.
+    With tol = s_0 K eps (s_0 the largest singular value of N, numpy's
+    `matrix_rank` tolerance), j is the fewest leading orders whose dropped
+    border of N (the entries with max(row, col) >= j) has Frobenius norm at
+    most tol.  The border is summed from the outermost order inward, as a
+    reversed cumulative sum of ring masses, so no difference of large sums
+    cancels.  A = U_r S_r and B = V_r then keep the r singular values of
+    the j x j block above the same tol; by Eckart-Young the dropped part
+    has spectral norm at most tol, and with the border (Frobenius bounds
+    spectral) the zero-padded A B^T is within 2 s_0 K eps of N, twice the
+    bound on the roundoff of the direct product with N, plus the SVD's own
+    reconstruction roundoff (up to 3.7 s_0 K eps at K = 7-11).  The j x j
+    block is factored again only when j < K.  Per outcome the factored
+    contraction costs 2 r (j (n1 + n2) + n1 n2) flops against
+    2 j (j n1 + n1 n2) with the block itself, so the pair is (block,
+    identity) unless it is cheaper.
     """
     k = coeffs.shape[0]
     u, sv, vt = np.linalg.svd(coeffs)
-    r = int(np.count_nonzero(sv > sv[0] * k * np.finfo(float).eps))
-    if r * (k * (n1 + n2) + n1 * n2) >= k * (k * n1 + n1 * n2):
-        return coeffs.T, None
+    tol = sv[0] * k * np.finfo(float).eps
+    sq = coeffs * coeffs
+    ring = np.tril(sq).sum(axis=1) + np.triu(sq, 1).sum(axis=0)  # max(row, col) == i
+    border = np.cumsum(ring[::-1])[::-1]  # border[i]: entries with max(row, col) >= i
+    j = int(np.count_nonzero(border > tol * tol))
+    block = coeffs[:j, :j]
+    if j < k:
+        u, sv, vt = np.linalg.svd(block)
+    r = int(np.count_nonzero(sv > tol))
+    if r * (j * (n1 + n2) + n1 * n2) >= j * (j * n1 + n1 * n2):
+        return block.T, None
     return _floored((u[:, :r] * sv[:r]).T), _floored(vt[:r])
 
 
@@ -364,18 +395,22 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     build of its own).  Each outcome's grid is weighted by 1/q(xi), q the
     sampler's cell density, so the mean is an unbiased importance-sampling
     estimate of the averaged channel's output.  The kernel's K x K matrix
-    N is factored once per call as N = A B^T through its numerical rank r
-    (`_contraction_pair`; A = N and B = I when that is not cheaper, as for
-    random states).  Each chunk of b outcomes, with b factor matrices per
-    component within CHUNK_ELEMENTS values, has one floored
-    (K, b (n1 + n2)) table from `ConditionalKernel.factors` and costs
-    matrix products on views, each into a buffer reused across chunks:
-    A.T @ left, B.T @ right (skipped when B = I), and the sum over the
-    chunk as one product over the stacked (r, outcome) index.  No factor
-    is copied or transposed.  Chunk sums are added with compensated
-    summation.  Per-sample fidelities are the closed form
-    `conditional_fidelity` at the drawn outcomes, for pure and mixed
-    inputs alike; their mean estimates the (entanglement) fidelity.
+    N is trimmed and factored once per call (`_contraction_pair`): the
+    mean contracts over N's leading j orders, with the dropped border and
+    the dropped singular values each within s_0 K eps, as N_j ~ A B^T
+    through the block's numerical rank r (A = N_j and B = I when that is
+    not cheaper, as for random states).  Each chunk of b outcomes, with b
+    factor matrices per component within CHUNK_ELEMENTS values of the j
+    orders, has one floored (j, b (n1 + n2)) table from
+    `ConditionalKernel.factors` and costs matrix products on views, each
+    into a buffer reused across chunks: A.T @ left, B.T @ right (skipped
+    when B = I), and the sum over the chunk as one product over the
+    stacked (r, outcome) index.  No factor is copied or transposed.  Chunk
+    sums are added with compensated summation.  Per-sample fidelities are
+    the closed form `conditional_fidelity` at the drawn outcomes, for pure
+    and mixed inputs alike; their mean estimates the (entanglement)
+    fidelity.  `conditional_output` and `ConditionalKernel.evaluate` keep
+    all K orders.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -385,10 +420,9 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     _check_conditioning(dens)
     fids = _fidelity_from(kern.ctilde, t, (xi1s + 1j * xi2s) / np.sqrt(2.0))
     n1, n2 = kern.out_grid.resolution
-    k = kern.coeffs.shape[0]
     a_t, b_t = _contraction_pair(kern.coeffs, n1, n2)
-    r = a_t.shape[0]
-    chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * k))
+    r, j = a_t.shape
+    chunk = max(1, CHUNK_ELEMENTS // (max(n1, n2) * j))
     weights = -2.0 * kern.order / (np.pi * dens)
     lhs_buf, rhs_buf = np.empty(r * chunk * n1), np.empty(r * chunk * n2)
     vals = np.empty((n1, n2))
@@ -396,9 +430,9 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     comp = np.zeros_like(acc)  # compensated (Kahan) accumulation
     for lo in range(0, samples, chunk):
         part = slice(lo, lo + chunk)
-        left, right = kern.factors(xi1s[part], xi2s[part])
+        left, right = kern.factors(xi1s[part], xi2s[part], j)
         b = left.shape[1] // n1
-        # lhs[c, (m, i)] = (L_m @ A)[i, c] and rhs[c, m, j] = w_m (R_m @ B)[j, c]
+        # lhs[c, (m, i)] = (L_m @ A)[i, c] and rhs[c, m, l] = w_m (R_m @ B)[l, c]
         lhs = np.matmul(a_t, left, out=lhs_buf[: r * b * n1].reshape(r, b * n1))
         rhs = rhs_buf[: r * b * n2].reshape(r, b, n2)
         if b_t is not None:
@@ -413,4 +447,5 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
         comp -= vals
         acc = new
     mean = acc / samples
-    return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids, r, k)
+    return MCResult(kern.out_grid.with_values(mean), xi1s, xi2s, fids, r,
+                    kern.coeffs.shape[0], j)

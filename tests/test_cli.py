@@ -253,8 +253,36 @@ class TestTeleportMCCommand:
         se = summary["stderr"]
         assert abs(summary["mean_conditional_fidelity"] - 2 / 3) < 3.5 * se
         assert summary["l1_distance_to_average_channel"] < 0.2
-        # a coherent input's W^(s) is separable: the mean contracts through rank 1
-        assert (summary["contraction_rank"], summary["kernel_size"]) == (1, 53)
+        # a coherent input's W^(s) is separable: the mean contracts through rank 1,
+        # over the 23 of K = 53 Hermite orders that the smoothing leaves above roundoff
+        assert (summary["contraction_rank"], summary["contraction_orders"],
+                summary["kernel_size"]) == (1, 23, 53)
+
+    def test_stderr_is_sample_standard_error(self, tmp_path):
+        out = tmp_path / "se.csv"
+        rc = main([
+            "teleport-mc", "--state", "compass:a=2", "--t", "0.5",
+            "--samples", "7", "--seed", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = read_csv(out)
+        fids = rows[:, 3]
+        summary = json.loads(open(str(out) + ".summary.json").read())
+        assert summary["stderr"] == pytest.approx(np.std(fids, ddof=1) / np.sqrt(7), rel=1e-15)
+        assert summary["stderr"] > np.std(fids) / np.sqrt(7)
+
+    def test_one_sample_has_no_stderr(self, tmp_path):
+        # RuntimeWarnings are errors under pytest, so ddof = 1 on one value would fail here
+        out = tmp_path / "one.csv"
+        rc = main([
+            "teleport-mc", "--state", "coherent:nu1=1,nu2=0", "--t", "1.0",
+            "--samples", "1", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = read_csv(out)
+        summary = json.loads(open(str(out) + ".summary.json").read())
+        assert summary["stderr"] is None
+        assert summary["mean_conditional_fidelity"] == rows[0, 3]
 
     def test_thermal_input(self, tmp_path):
         out = tmp_path / "th.csv"

@@ -497,13 +497,15 @@ class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("count", ["1", "c-1", "c", "c+1", "2c+3"])
     @pytest.mark.parametrize("name,k", [("coherent", 57), ("compass2", 89)])
     def test_matches_reference_across_chunk_boundaries(self, name, k, count):
-        # c outcomes per chunk: full, partial and single-outcome last chunks
+        # c outcomes per chunk: full, partial and single-outcome last chunks;
+        # chunks are sized from the j <= K Hermite orders the mean contracts over
         state, t = MC_STATES[name](), 1.0
         kern = ConditionalKernel(state, t)
         assert kern.coeffs.shape[0] == k
-        c = protocol.CHUNK_ELEMENTS // (max(kern.out_grid.resolution) * k)
-        samples = {"1": 1, "c-1": c - 1, "c": c, "c+1": c + 1, "2c+3": 2 * c + 3}[count]
         sampler = OutcomeSampler(state, t, resolution=256)
+        orders = mc_average(state, t, 1, make_rng(13), sampler=sampler).orders
+        c = protocol.CHUNK_ELEMENTS // (max(kern.out_grid.resolution) * orders)
+        samples = {"1": 1, "c-1": c - 1, "c": c, "c+1": c + 1, "2c+3": 2 * c + 3}[count]
         res = mc_average(state, t, samples, make_rng(13), sampler=sampler)
         ref = ref_mc_average(kern, res.xi1, res.xi2, density_at(sampler, res.xi1, res.xi2))
         assert np.max(np.abs(res.grid.values - ref)) <= 1e-12
@@ -520,7 +522,7 @@ class TestBatchedMonteCarlo:
 
 
 class TestLowRankContraction:
-    """mc_average contracts through the numerical rank r of N when that is cheaper."""
+    """mc_average contracts through N's leading j orders and their numerical rank r."""
 
     @pytest.mark.parametrize("name,t,rank,k", [
         ("coherent", 0.5, 1, 57), ("coherent", 1.0, 1, 57), ("thermal", 1.0, 1, 117),
@@ -528,21 +530,28 @@ class TestLowRankContraction:
     ])
     @pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")  # random-20's top level
     def test_recorded_rank(self, name, t, rank, k):
-        # Gaussian inputs have separable W^(s): r = 1; random-20 stays unfactored (r = K)
+        # Gaussian inputs have separable W^(s): r = 1; random-20 stays unfactored (r = K);
+        # the smoothing to W^(s) leaves N's trailing orders below roundoff (j < K)
+        orders = {("coherent", 0.5): 24, ("coherent", 1.0): 23, ("thermal", 1.0): 59,
+                  ("compass2", 0.5): 47, ("compass2", 1.0): 45, ("random20", 0.5): 39}[name, t]
         state = {"thermal": lambda: make_thermal(1.0, 64),
                  "random20": lambda: make_random(20, seed=1), **MC_STATES}[name]()
         sampler = OutcomeSampler(state, t, resolution=128)
         res = mc_average(state, t, 2, make_rng(3), sampler=sampler)
-        assert (res.rank, res.kernel_size) == (rank, k)
+        assert (res.rank, res.orders, res.kernel_size) == (rank, orders, k)
 
     @pytest.mark.parametrize("name", ["coherent", "compass2"])
     def test_pair_reproduces_n_within_rank_tolerance(self, name):
         n = ConditionalKernel(MC_STATES[name](), 0.5).coeffs
+        k = n.shape[0]
         a_t, b_t = protocol._contraction_pair(n, 128, 128)
-        assert a_t.shape[0] < n.shape[0]
-        # Eckart-Young: spectral error <= s_0 K eps; the SVD's own roundoff is as large
-        tol = np.linalg.norm(n, 2) * n.shape[0] * np.finfo(float).eps
-        assert np.linalg.norm(a_t.T @ b_t - n, 2) <= 2.0 * tol
+        r, j = a_t.shape
+        assert r < j < k
+        padded = np.zeros_like(n)
+        padded[:j, :j] = a_t.T @ b_t
+        # border (Frobenius) plus Eckart-Young, each <= s_0 K eps; the SVD's roundoff is as large
+        tol = np.linalg.norm(n, 2) * k * np.finfo(float).eps
+        assert np.linalg.norm(padded - n, 2) <= 2.0 * tol
         for f in (a_t, b_t):  # zero or normal, as the factor tables are
             assert np.all(np.abs(f[f != 0.0]) >= np.finfo(float).tiny)
 
