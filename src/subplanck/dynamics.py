@@ -268,6 +268,7 @@ def wavefunction_to_fock(psi: WaveFunction, dim=None):
 
 def fock_to_wavefunction(state: PureState, grid: SpatialGrid) -> WaveFunction:
     basis = hermite_functions(grid.x, state.dim)
-    psi = state.coeffs @ basis.astype(complex)
+    c = state.coeffs  # two real products, as in wavefunction_to_fock
+    psi = c.real @ basis + 1j * (c.imag @ basis)
     nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
     return WaveFunction(psi / nrm, grid.x_min, grid.dx)

@@ -273,8 +273,7 @@ def slope_at_zero(state, route="variance") -> float:
     The gradient route is the pure-state identity dF/dt = -(pi/8) int |grad W|^2,
     so it takes only a PureState; the variance route takes either kind.
     The gradient route raises QuadratureError if it differs from the variance
-    route by over 1e-12 (relative), as for trimmed supports from about D = 380
-    on, where the Hermite-basis kernel loses accuracy; use route='variance'.
+    route by over 1e-12 (relative).
     """
     _, _, vx, vp = quad_moments(state)
     variance_value = -(vx + vp) / 2.0
@@ -288,7 +287,6 @@ def slope_at_zero(state, route="variance") -> float:
     if not abs(est - variance_value) <= 1e-12 * abs(variance_value):  # NaN fails too
         raise QuadratureError(
             f"gradient-route slope {est!r} disagrees with variance route {variance_value!r}"
-            " (inaccurate from trimmed support ~380 on: use route='variance')"
         )
     return est
 

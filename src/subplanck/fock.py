@@ -21,12 +21,12 @@ M_n[d, point] per step.  It is the package's only Laguerre recurrence:
 every radial sum (displacement matrices, the characteristic function on
 polar nodes, the entanglement fidelities) and the Gauss-Laguerre weights
 of `quadrature` contract its slabs, so a call costs as many Python steps
-as the longest diagonal it needs.  The Hermite functions (`hermite_rows`,
-`hermite_functions`) serve the position-space projection and the
-separable phase-space kernel of `phasespace`.  The teleportation noise
-channel needs no radial sums: `_noise_kernel` gives the closed binomial
-matrices of its loss and gain stages, on which the averaged channel and
-the random-state ensemble average are finite sums.
+as the longest diagonal it needs.  Likewise `_hermite_rows` is the only
+Hermite recurrence (scaled past x^2/2 = 700), for the position-space
+projection and the separable phase-space kernel of `phasespace`.  The
+teleportation noise channel needs no radial sums: `_noise_kernel` gives
+the closed binomial matrices of its loss and gain stages, on which the
+averaged channel and the random-state ensemble average are finite sums.
 """
 
 import warnings
@@ -315,45 +315,54 @@ def _unit_powers(z, count):
     return out
 
 
-def hermite_rows(x, n_max):
-    """Yield the oscillator eigenfunctions phi_0(x) .. phi_{n_max-1}(x) (read-only rows).
+def _hermite_rows(x, n_max, buf):
+    """Yield phi_n(x), n < n_max, each row written in place into buf[n % len(buf)].
 
-    The orthonormal Hermite functions by their three-term recurrence,
-    holding two rows at a time.
+    The orthonormal oscillator eigenfunctions by their three-term recurrence
+    phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1} from
+    phi_0 = pi^(-1/4) e^(-x^2/2), on 1-D x.  buf has rows of x.size values,
+    three at least (or n_max), and a yielded row is overwritten len(buf)
+    steps later.  Far points (x^2/2 > 700, near where phi_0 underflows)
+    would read 0 although phi_n grows back to O(1) by n ~ x^2/2, so they
+    also run the recurrence as phi = cur e^scale: cur starts at 1, scale at
+    ln phi_0, and cur is divided by 1e120 (scale raised by ln 1e120, and
+    the kept e^scale refreshed) wherever it passes 1e120; the rows hold
+    them unscaled.  A call with no far point does no extra work.
     """
-    if n_max < 1:
-        return
-    prev = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    yield prev
-    if n_max > 1:
-        cur = np.sqrt(2.0) * x * prev
-        yield cur
-        for n in range(1, n_max - 1):
-            prev, cur = cur, np.sqrt(2.0 / (n + 1)) * x * cur - np.sqrt(n / (n + 1)) * prev
-            yield cur
+    half = x**2 / 2.0
+    far = np.flatnonzero(half > 700.0)
+    xf, scale = x[far], np.log(np.pi**-0.25) - half[far]
+    cur, prev, unscale = np.ones(far.size), np.zeros(far.size), np.exp(scale)
+    for n in range(n_max):
+        row = buf[n % len(buf)]
+        if n == 0:
+            np.multiply(np.pi**-0.25, np.exp(-half), out=row)
+        elif n == 1:
+            np.multiply(np.sqrt(2.0) * x, buf[0], out=row)
+        else:
+            m = n - 1  # row = sqrt(2/(m+1)) x phi_m - sqrt(m/(m+1)) phi_{m-1}
+            np.multiply(np.sqrt(2.0 / (m + 1)), x, out=row)
+            row *= buf[m % len(buf)]
+            row -= np.sqrt(m / (m + 1)) * buf[(m - 1) % len(buf)]
+        if far.size:
+            if n:
+                cur, prev = np.sqrt(2.0 / n) * xf * cur - np.sqrt((n - 1) / n) * prev, cur
+                big = np.abs(cur) > 1e120
+                if big.any():
+                    cur[big] *= 1e-120
+                    prev[big] *= 1e-120
+                    scale[big] += np.log(1e120)
+                    unscale[big] = np.exp(scale[big])
+            row[far] = cur * unscale
+        yield row
 
 
 def hermite_functions(x, n_max):
-    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x, shape (n_max, x.size).
-
-    The recurrence of `hermite_rows`, filled in place with one scratch
-    row: the same arithmetic in the same order, so bit-identical to
-    stacking its rows.
-    """
+    """Orthonormal oscillator eigenfunctions phi_0..phi_{n_max-1} on x, shape (n_max, x.size)."""
     x = np.ravel(x)
     out = np.empty((n_max, x.size))
-    if n_max < 1:
-        return out
-    out[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    if n_max > 1:
-        np.multiply(np.sqrt(2.0) * x, out[0], out=out[1])
-        scratch = np.empty(x.size)
-        for n in range(1, n_max - 1):
-            # out[n+1] = sqrt(2/(n+1)) x out[n] - sqrt(n/(n+1)) out[n-1]
-            np.multiply(np.sqrt(2.0 / (n + 1)), x, out=out[n + 1])
-            out[n + 1] *= out[n]
-            np.multiply(np.sqrt(n / (n + 1)), out[n - 1], out=scratch)
-            out[n + 1] -= scratch
+    for _ in _hermite_rows(x, n_max, out):
+        pass
     return out
 
 

@@ -51,9 +51,9 @@ from .fock import (
     ComplexAmplitude,
     PureState,
     _as_complex,
+    _hermite_rows,
     _m_seq,
     hermite_functions,
-    hermite_rows,
     quad_moments,
 )
 
@@ -306,8 +306,8 @@ def _rotated_density(state, dim, u):
 
     u must be exactly antisymmetric, so x1[a, b] = x2[a, K-1-b].  A pure
     state's psi is accumulated along the Hermite recurrence at every x2
-    (elementwise, O(D K^2)); a density matrix takes per-point tables at x1
-    and x2 and two real products with its trimmed matrix per tile.
+    (elementwise, O(D K^2)); a density matrix is the scattered evaluation
+    of its trimmed matrix at the points (x1, x2).
     """
     k = u.size
     x2 = ((u[:, None] + u[None, :]) / np.sqrt(2.0)).ravel()
@@ -315,25 +315,18 @@ def _rotated_density(state, dim, u):
         c = state.coeffs[:dim]
         psi = np.empty(x2.size, dtype=complex)
         for lo in range(0, x2.size, CHUNK_ELEMENTS):
-            re, im = np.zeros((2, min(CHUNK_ELEMENTS, x2.size - lo)))
-            for n, h in enumerate(hermite_rows(x2[lo : lo + CHUNK_ELEMENTS], dim)):
+            x = x2[lo : lo + CHUNK_ELEMENTS]
+            re, im = np.zeros((2, x.size))
+            for n, h in enumerate(_hermite_rows(x, dim, np.empty((3, x.size)))):
                 re += c.real[n] * h
                 im += c.imag[n] * h
-            psi.real[lo : lo + re.size], psi.imag[lo : lo + re.size] = re, im
+            psi.real[lo : lo + x.size], psi.imag[lo : lo + x.size] = re, im
         psi = psi.reshape(k, k)
         return psi[:, ::-1] * np.conj(psi)
     rho = state.matrix[:dim, :dim]
-    coef = np.concatenate([rho.real.T, rho.imag.T], axis=1)
-    cols = _TILE_COLS
-    x1 = _padded(x2.reshape(k, k)[:, ::-1].ravel(), cols)
-    f = np.empty(x1.size, dtype=complex)
-    passes = zip(_table_passes(x1, dim, cols), _table_passes(_padded(x2, cols), dim, cols))
-    for (lo, h1), (_, h2) in passes:
-        for j in range(0, h1.shape[0], cols):
-            a, g = h1[j : j + cols], h2[j : j + cols] @ coef  # g[p, m] = sum_n rho_mn phi_n(x2_p)
-            f.real[lo + j : lo + j + cols] = np.sum(a * g[:, :dim], axis=1)
-            f.imag[lo + j : lo + j + cols] = np.sum(a * g[:, dim:], axis=1)
-    return f[: k * k].reshape(k, k)
+    x1 = x2.reshape(k, k)[:, ::-1].ravel()
+    re, im = _scattered_values(np.stack([rho.real, rho.imag]), x1, x2)[:, : k * k]
+    return (re + 1j * im).reshape(k, k)
 
 
 def _coefficient_matrix(state):
@@ -343,19 +336,14 @@ def _coefficient_matrix(state):
     degree <= 4D - 4 per axis (D the trimmed support), so K = 2D - 1 Gauss-
     Hermite nodes per axis give C~ exactly: C = (H w) F (H w)^T with F the
     density at the rotated nodes and w_a = 1 / sum_j h_j(u_a)^2.  Returns a
-    real K x K matrix; raises QuadratureError where those sums underflow
-    to 0, which first happens at D = 384.
+    real K x K matrix.
     """
     dim = trimmed_support(state_diagonals(state))
     k = 2 * dim - 1
     u = roots_hermite(k)[0]
     u = (u - u[::-1]) / 2.0  # exactly antisymmetric
     h = hermite_functions(u, k)
-    norms = np.sum(h * h, axis=0)
-    if not np.all(norms > 0.0):  # the outer nodes' Hermite values underflow (D >= 384)
-        raise QuadratureError(f"Christoffel weights of the {k}-node Gauss-Hermite rule underflow "
-                              f"at trimmed support {dim}")
-    hw = _floored(h / norms)
+    hw = _floored(h / np.sum(h * h, axis=0))
     f = _rotated_density(state, dim, u)
     x_re, x_im = _floored(hw @ _floored(f.real.copy())), _floored(hw @ _floored(f.imag.copy()))
     # C~_jk = Re(C_jk i^k): columns k = 0, 1, 2, 3 mod 4 take Re C, -Im C, -Re C, Im C

@@ -278,6 +278,17 @@ def ref_m_element(n, d, x, dps=40):
         return float(mpmath.exp(logpre) * lag)
 
 
+def ref_hermite_functions(x, n_max, dps=40):
+    """phi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)), n < n_max, in mpmath, as floats."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(float(x))
+        gauss = mpmath.exp(-x * x / 2) / mpmath.sqrt(mpmath.sqrt(mpmath.pi))
+        return np.array([
+            float(gauss * mpmath.hermite(n, x) / mpmath.sqrt(2**n * mpmath.factorial(n)))
+            for n in range(n_max)
+        ])
+
+
 def density_at(sampler, xi1, xi2):
     """The sampler's grid density at the cell nearest each outcome (xi1, xi2)."""
     grid = sampler.grid

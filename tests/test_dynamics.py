@@ -24,7 +24,7 @@ from subplanck.dynamics import (
     hermite_functions,
     split_step_evolve,
 )
-from subplanck.fock import hermite_rows
+from subplanck.fock import _hermite_rows
 
 
 SMALL = SpatialGrid(-20.0, 20.0, 1024)
@@ -189,17 +189,20 @@ class TestFockProjection:
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
     def test_hermite_rows_yield_n_max_rows(self, n_max):
-        assert len(list(hermite_rows(SMALL.x, n_max))) == n_max
+        rows = list(_hermite_rows(SMALL.x, n_max, np.empty((3, SMALL.x.size))))
+        assert len(rows) == n_max
         assert hermite_functions(SMALL.x, n_max).shape == (n_max, SMALL.x.size)
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 89])
     def test_hermite_functions_equal_stacked_rows(self, n_max):
-        # filled in place, the table keeps the row recurrence's bits, also
-        # out at |x| = 40, where phi_0 underflows to 0
+        # a 3-row rolling buffer yields the table's rows bit for bit, also out
+        # at |x| = 40, where phi_0 underflows to 0 and the points run scaled
         x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-0.0, 37.5, 38.6]])
         assert np.any(np.exp(-(x**2) / 2.0) == 0.0)
-        stacked = np.array(list(hermite_rows(x, n_max))).reshape(n_max, x.size)
-        assert np.array_equal(hermite_functions(x, n_max), stacked)
+        table = hermite_functions(x, n_max)
+        assert table.shape == (n_max, x.size)
+        rows = [row.copy() for row in _hermite_rows(x, n_max, np.empty((3, x.size)))]
+        assert np.array_equal(np.array(rows).reshape(n_max, x.size), table)
 
     @pytest.mark.parametrize("dim", [0, -3])
     def test_nonpositive_dim_rejected(self, dim):
@@ -211,6 +214,12 @@ class TestFockProjection:
         with pytest.raises(LeakageError) as err:
             wavefunction_to_fock(w, 20)
         assert err.value.leakage > 1e-3
+
+    def test_far_coherent_state_projects(self):
+        # the top levels' turning points pass |x| = 37.4, where phi_0 underflows
+        w = coherent_wavefunction(40.0, 0.0, SpatialGrid(-60.0, 60.0, 8192))
+        _, leak = wavefunction_to_fock(w)
+        assert leak <= 1e-9
 
     def test_roundtrip_overlap(self):
         w = coherent_wavefunction(-6.0, 2.0, SpatialGrid())

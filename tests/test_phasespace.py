@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from oracles import (
     gauss_hermite_2d,
@@ -12,6 +13,7 @@ from oracles import (
     ref_char,
     ref_char_on_polar,
     ref_char_values,
+    ref_hermite_functions,
     ref_husimi,
     ref_squasi_values,
     ref_wigner_parity,
@@ -44,7 +46,7 @@ from subplanck import (
     wigner,
     wigner_grid,
 )
-from subplanck.fidelity import fidelity_quadrature
+from subplanck.fidelity import slope_at_zero
 from subplanck.phasespace import (
     PhaseGrid,
     char_on_polar,
@@ -292,18 +294,18 @@ class TestSQuasidist:
             lambda: char_values(st, grid),
         ]
         whole = [f() for f in evals]
-        tables, functions, rows = [], phasespace_module.hermite_functions, phasespace_module.hermite_rows
+        tables, functions, rows = [], phasespace_module.hermite_functions, phasespace_module._hermite_rows
 
         def recording_functions(x, count):
             tables.append(x.size * count)
             return functions(x, count)
 
-        def recording_rows(x, count):
+        def recording_rows(x, count, buf):
             tables.append(x.size)
-            return rows(x, count)
+            return rows(x, count, buf)
 
         monkeypatch.setattr(phasespace_module, "hermite_functions", recording_functions)
-        monkeypatch.setattr(phasespace_module, "hermite_rows", recording_rows)
+        monkeypatch.setattr(phasespace_module, "_hermite_rows", recording_rows)
         monkeypatch.setattr(phasespace_module, "CHUNK_ELEMENTS", 81 * 128)
         chunked = [f() for f in evals]
         assert len(tables) > 3 * len(evals)  # tables were built in several passes
@@ -357,7 +359,8 @@ class TestHermiteKernel:
         calls, scattered_values = [], phasespace_module._scattered_values
 
         def counting(*args):
-            calls.append(args)
+            if args[1].size == grid.size:  # the evaluation's, not a mixed state's C~
+                calls.append(args)
             return scattered_values(*args)
 
         monkeypatch.setattr(phasespace_module, "_scattered_values", counting)
@@ -404,13 +407,27 @@ class TestHermiteKernel:
         with pytest.raises(ValueError):
             squasi_values(catalog["vacuum"], 0.5, np.array(0.0j))
 
-    def test_christoffel_underflow_raises(self):
-        # from trimmed support 384 the outermost nodes' sums of h_j^2 underflow
-        # to 0, so dividing by them would make C~ NaN
-        with pytest.raises(QuadratureError, match="underflow"):
-            squasi_purity(make_thermal(10, 400), 0.0)
-        with pytest.raises(QuadratureError, match="underflow"):
-            fidelity_quadrature(make_random(400, seed=1), 1.0, 3)
+    def test_purity_past_the_recurrence_underflow(self):
+        # from trimmed support 384 the outer nodes' h_0 underflows, but their
+        # high orders are O(1); C~ keeps Parseval (measured 1.1e-15 off)
+        assert squasi_purity(make_random(400, seed=1), 0.0) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")
+    def test_gradient_slope_past_the_recurrence_underflow(self):
+        # the gradient route raises unless it meets the variance route to 1e-12
+        # (relative); measured 2.0e-15 off
+        st = make_random(383, seed=1)
+        assert slope_at_zero(st, route="gradient") == pytest.approx(slope_at_zero(st), rel=1e-12)
+
+    @pytest.mark.parametrize("x, orders", [(roots_hermite(799)[0][-1], 799), (45.0, 1100)],
+                             ids=["outer-node-799", "x45"])
+    def test_hermite_functions_at_far_points(self, x, orders):
+        # the outermost node of the 799-node rule (|x| = 39.44) and x = 45, where
+        # phi_0 underflows to 0 but the top orders are O(1); measured <= 4.6e-15
+        got = hermite_functions(np.array([x]), orders)[:, 0]
+        want = ref_hermite_functions(x, orders)
+        assert np.max(np.abs(want)) > 0.3
+        assert np.max(np.abs(got - want)) <= 5e-14
 
 
 class TestGrids:
