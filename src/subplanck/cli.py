@@ -1,12 +1,16 @@
 """Command-line interface: curves, scale reports, grids, Monte Carlo runs.
 
-Every command writes a run manifest (JSON) capturing the resolved
-configuration, seed, tool version, and BLAS library and thread settings;
-re-running with the same configuration, library versions and BLAS thread
-count reproduces output files byte for byte (timestamps live only in the
-manifest).  CSV files carry '#'-prefixed key=value header
-lines followed by comma-separated numeric rows printed with 17
-significant digits.
+Each command writes its own outputs and returns its manifest seed; `main`
+then writes the run manifest (JSON) capturing the resolved configuration,
+seed, tool version, and BLAS library and thread settings.  The manifest
+goes to --manifest if given, else to <out-prefix>_manifest.json for
+`evolve` and to <out>.manifest.json for the others; `scales` printing to
+stdout writes one only with --manifest.  Re-running with the same
+configuration (`--config <manifest>` replays every flag but the output
+paths), library versions and BLAS thread count reproduces output files byte
+for byte (timestamps live only in the manifest).  CSV files carry
+'#'-prefixed key=value header lines followed by comma-separated numeric
+rows printed with 17 significant digits.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 """
@@ -72,10 +76,6 @@ from .dynamics import (
 )
 
 
-class ValidationFailure(Exception):
-    """User-facing configuration or data-validation problem (exit 2)."""
-
-
 # ---------------------------------------------------------------------------
 # state specification
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class StateSpec:
         kind, _, rest = text.partition(":")
         kind = kind.strip()
         if kind not in STATE_KINDS:
-            raise ValidationFailure(
+            raise ValueError(
                 f"unknown state kind {kind!r}; choose from {sorted(STATE_KINDS)}"
             )
         params = dict(STATE_KINDS[kind][0])
@@ -132,16 +132,16 @@ class StateSpec:
                 key, _, val = item.partition("=")
                 key = key.strip()
                 if key not in params:
-                    raise ValidationFailure(f"unknown parameter {key!r} for {kind}")
+                    raise ValueError(f"unknown parameter {key!r} for {kind}")
                 try:
                     num = float(val)
                 except ValueError:
-                    raise ValidationFailure(f"{kind}:{key} needs a number, got {val!r}") from None
+                    raise ValueError(f"{kind}:{key} needs a number, got {val!r}") from None
                 if not np.isfinite(num):
-                    raise ValidationFailure(f"{kind}:{key} must be finite, got {val!r}")
+                    raise ValueError(f"{kind}:{key} must be finite, got {val!r}")
                 if isinstance(params[key], int):
                     if not num.is_integer():
-                        raise ValidationFailure(f"{kind}:{key} must be an integer, got {val!r}")
+                        raise ValueError(f"{kind}:{key} must be an integer, got {val!r}")
                     num = int(num)
                 params[key] = num
         return cls(kind, params, trunc)
@@ -216,25 +216,17 @@ def _blas_record():
     return doc
 
 
-def write_manifest(path, command, config, seed=None):
-    doc = {
-        "blas": _blas_record(),
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "generator": "philox",
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _manifest_path(args):
+    """Where the run's manifest goes; None for `scales` printing to stdout."""
     if args.manifest:
         return args.manifest
-    return args.out + ".manifest.json"
+    if args.command == "evolve":
+        return args.out_prefix + "_manifest.json"
+    return args.out and args.out + ".manifest.json"
 
 
 PLOT_SCRIPT = """\
@@ -265,11 +257,11 @@ print("wrote", {png!r})
 def _t_samples(args):
     """The --t-steps values from --t-min to --t-max, checked before any work or output."""
     if args.t_steps < 1:
-        raise ValidationFailure("--t-steps must be >= 1")
+        raise ValueError("--t-steps must be >= 1")
     if not (np.isfinite(args.t_min) and np.isfinite(args.t_max)):
-        raise ValidationFailure("t-min and t-max must be finite")
+        raise ValueError("t-min and t-max must be finite")
     if not (0 <= args.t_min < args.t_max or (args.t_steps == 1 and args.t_min >= 0)):
-        raise ValidationFailure("need 0 <= t-min < t-max")
+        raise ValueError("need 0 <= t-min < t-max")
     return np.linspace(args.t_min, args.t_max, args.t_steps)
 
 
@@ -287,7 +279,7 @@ def cmd_fidelity_curve(args):
     try:
         FidelityCurve(ts, fq, spec.descriptor, method).validate()
     except ValueError as exc:
-        raise ValidationFailure(f"curve validation failed: {exc}") from exc
+        raise ValueError(f"curve validation failed: {exc}") from exc
     header = {
         "state": spec.descriptor,
         "method": method,
@@ -301,28 +293,23 @@ def cmd_fidelity_curve(args):
         cols = ["t", "F_closed", "F_quadrature", "abs_diff"]
         rows = [(t, a, b, abs(a - b)) for t, a, b in zip(ts, fc, fq)]
     write_csv(args.out, header, cols, rows)
-    write_manifest(_manifest_path(args), "fidelity-curve", _config_dict(args),
-                   seed=spec.params.get("seed"))
-    return 0
+    return spec.params.get("seed")
 
 
 def cmd_scales(args):
     spec = StateSpec.parse(args.state, args.trunc)
-    doc = scale_report(spec.build(), label=spec.descriptor).as_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json_text(scale_report(spec.build(), label=spec.descriptor).as_dict())
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        write_manifest(_manifest_path(args), "scales", _config_dict(args),
-                       seed=spec.params.get("seed"))
+            fh.write(text)
     else:
-        print(text)
-    return 0
+        sys.stdout.write(text)
+    return spec.params.get("seed")
 
 
 def cmd_grid(args):
     if args.grid_extent is not None and args.grid_extent <= 0:
-        raise ValidationFailure("--grid-extent must be > 0")
+        raise ValueError("--grid-extent must be > 0")
     spec = StateSpec.parse(args.state, args.trunc)
     state = spec.build()
     res = args.grid_res
@@ -342,7 +329,7 @@ def cmd_grid(args):
         vals = np.abs(char_values(state, pts)) ** 2
         label, title = "|Phi|^2", f"characteristic (squared), {spec.descriptor}"
     else:
-        raise ValidationFailure("function must be wigner, husimi or charsq")
+        raise ValueError("function must be wigner, husimi or charsq")
     header = {
         "state": spec.descriptor,
         "function": args.function,
@@ -364,9 +351,7 @@ def cmd_grid(args):
                                 title=title, png=args.out + ".png")
     with open(args.out + ".plot.py", "w") as fh:
         fh.write(script)
-    write_manifest(_manifest_path(args), "grid", _config_dict(args),
-                   seed=spec.params.get("seed"))
-    return 0
+    return spec.params.get("seed")
 
 
 def cmd_teleport_mc(args):
@@ -399,15 +384,13 @@ def cmd_teleport_mc(args):
         "seed": args.seed,
     }
     with open(args.out + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(_manifest_path(args), "teleport-mc", _config_dict(args), seed=args.seed)
-    return 0
+        fh.write(_json_text(summary))
+    return args.seed
 
 
 def cmd_random_average(args):
     if args.samples < 2:
-        raise ValidationFailure("need --samples >= 2 (for a standard error)")
+        raise ValueError("need --samples >= 2 (for a standard error)")
     ts = _t_samples(args)
     rng = make_rng(args.seed)
     states = [make_random(args.dim, rng=rng) for _ in range(args.samples)]
@@ -418,19 +401,18 @@ def cmd_random_average(args):
         rows.append((t, formula, vals.mean(), vals.std(ddof=1) / np.sqrt(args.samples)))
     write_csv(args.out, {"dim": args.dim, "samples": args.samples, "seed": args.seed},
               ["t", "F_formula", "F_mc_mean", "F_mc_stderr"], rows)
-    write_manifest(_manifest_path(args), "random-average", _config_dict(args), seed=args.seed)
-    return 0
+    return args.seed
 
 
 def cmd_evolve(args):
     if args.snapshot_stride < 0:
-        raise ValidationFailure("need --snapshot-stride >= 0")
+        raise ValueError("need --snapshot-stride >= 0")
     ts = _t_samples(args)
     grid = SpatialGrid(args.grid_min, args.grid_max, args.grid_points)
     cfg = EvolutionConfig(dt=args.dt, t_final=args.t_final, grid=grid)
     if args.convergence:
         if args.t_final <= 0:  # all three runs would be the initial state: no ratio
-            raise ValidationFailure("--convergence needs --t-final > 0")
+            raise ValueError("--convergence needs --t-final > 0")
         base = args.dt * 4
         coarse = [EvolutionConfig(dt=dt_, t_final=args.t_final, grid=grid) for dt_ in (base, base / 2)]
     psi0 = coherent_wavefunction(args.x0, args.p0, grid)
@@ -494,11 +476,8 @@ def cmd_evolve(args):
         summary["convergence_ratio"] = d1 / d2
         summary["convergence_base_dt"] = base
     with open(args.out_prefix + "_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(args.manifest or args.out_prefix + "_manifest.json",
-                   "evolve", _config_dict(args))
-    return 0
+        fh.write(_json_text(summary))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +490,8 @@ def _config_dict(args):
 
 
 def _add_common(p):
-    p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
+    p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json, or "
+                   "<out-prefix>_manifest.json for evolve)")
     p.add_argument("--config", default=None, help="JSON file of flag defaults (flags win)")
 
 
@@ -596,14 +576,14 @@ def _config_flags(path):
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ValidationFailure(f"cannot read --config {path!r}: {exc}") from None
+        raise ValueError(f"cannot read --config {path!r}: {exc}") from None
     cfg = doc.get("config", doc) if isinstance(doc, dict) else None
     if not isinstance(cfg, dict):
-        raise ValidationFailure(f"--config {path!r} holds no JSON object of flags")
+        raise ValueError(f"--config {path!r} holds no JSON object of flags")
     pre = []
     for key, val in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if key in ("command", "func", "out", "manifest") or val is None:
+        if key in ("command", "func", "out", "out_prefix", "manifest") or val is None:
             continue
         if isinstance(val, bool):
             if val:
@@ -620,16 +600,30 @@ def main(argv=None) -> int:
         if "--config" in argv:  # the file's flags are defaults; explicit flags win
             idx = argv.index("--config")
             if idx + 1 == len(argv):
-                raise ValidationFailure("--config needs a JSON file")
+                raise ValueError("--config needs a JSON file")
             argv = argv[:1] + _config_flags(argv[idx + 1]) + argv[1:]
         args = ap.parse_args(argv)
         if getattr(args, "trunc", None) is not None and args.trunc < 1:
-            raise ValidationFailure("--trunc must be >= 1")
-        return args.func(args)
+            raise ValueError("--trunc must be >= 1")
+        seed = args.func(args)  # each command writes its outputs and returns its manifest seed
+        path = _manifest_path(args)
+        if path:
+            manifest = {
+                "blas": _blas_record(),
+                "command": args.command,
+                "config": _config_dict(args),
+                "seed": seed,
+                "version": __version__,
+                "generator": "philox",
+                "created": datetime.now(timezone.utc).isoformat(),
+            }
+            with open(path, "w") as fh:
+                fh.write(_json_text(manifest))
+        return 0
     except (QuadratureError, SamplingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationFailure, SubplanckError, ValueError) as exc:
+    except (SubplanckError, ValueError) as exc:
         # the library raises ValueError for out-of-range arguments, here from flag values
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -419,18 +419,6 @@ def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
     return displacement_matrices(dim, [_as_complex(mu)], rows)[0]
 
 
-def displace_state(state: PureState, mu) -> np.ndarray:
-    """Coefficients of D(mu)|state> in an enlarged truncation.
-
-    With r = sqrt(dim - 1) + |mu|, the output keeps ceil(r^2 + 8 r + 16)
-    levels.  The result is not renormalized; its norm deficit measures leakage.
-    """
-    muc = _as_complex(mu)
-    root = np.sqrt(state.dim - 1) + abs(muc)
-    mat = displacement_matrix(state.dim, muc, rows=int(np.ceil(root * root + 8 * root + 16)))
-    return mat @ state.coeffs
-
-
 # ---------------------------------------------------------------------------
 # state constructors
 # ---------------------------------------------------------------------------

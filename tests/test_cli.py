@@ -11,6 +11,7 @@ from oracles import read_state_csv
 
 import subplanck.cli as cli_module
 from subplanck.cli import StateSpec, main
+from subplanck.fidelity import scale_report
 
 
 def read_csv(path):
@@ -442,7 +443,70 @@ class TestWriteCsv:
         assert path.read_text() == "\n".join(want) + "\n"
 
 
+# each command at small flags: (flags, output flags, default manifest name, manifest seed)
+MANIFEST_RUNS = {
+    "fidelity-curve": (["--state", "random:dim=6,seed=3", "--t-steps", "3"],
+                       ["--out", "{d}/f.csv"], "f.csv.manifest.json", 3),
+    "scales": (["--state", "random:dim=6,seed=4"], ["--out", "{d}/s.json"], "s.json.manifest.json", 4),
+    "grid": (["--state", "random:dim=6,seed=5", "--grid-res", "32"],
+             ["--out", "{d}/g.csv"], "g.csv.manifest.json", 5),
+    "teleport-mc": (["--state", "coherent:nu1=1", "--t", "1", "--samples", "50", "--seed", "7"],
+                    ["--out", "{d}/m.csv"], "m.csv.manifest.json", 7),
+    "random-average": (["--dim", "4", "--samples", "3", "--t-steps", "2", "--seed", "8"],
+                       ["--out", "{d}/r.csv"], "r.csv.manifest.json", 8),
+    "evolve": (["--t-final", "0.02", "--grid-points", "512", "--t-steps", "2"],
+               ["--out-prefix", "{d}/e"], "e_manifest.json", None),
+}
+MANIFEST_KEYS = {"blas", "command", "config", "created", "generator", "seed", "version"}
+
+
 class TestManifest:
+    @pytest.mark.filterwarnings("ignore::subplanck.errors.TruncationWarning")  # random states own their top level
+    @pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+    def test_manifest_path_keys_seed_and_config(self, command, tmp_path):
+        flags, outputs, name, seed = MANIFEST_RUNS[command]
+        for sub, override in (("default", []), ("override", ["--manifest", "{d}/chosen.json"])):
+            d = tmp_path / sub
+            d.mkdir()
+            argv = [command] + [a.format(d=d) for a in flags + outputs + override]
+            assert main(argv) == 0
+            doc = json.loads((d / ("chosen.json" if override else name)).read_text())
+            assert set(doc) == MANIFEST_KEYS
+            assert doc["command"] == command
+            assert doc["seed"] == seed
+            assert doc["config"] == cli_module._config_dict(cli_module.build_parser().parse_args(argv))
+            assert (d / name).exists() == (not override)
+
+    def test_scales_stdout_writes_json_text_and_no_manifest(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scales", "--state", "number:n=12"]) == 0
+        spec = StateSpec.parse("number:n=12")
+        report = scale_report(spec.build(), label=spec.descriptor).as_dict()
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scales_stdout_honours_manifest_flag(self, tmp_path, capsys):
+        path = tmp_path / "scales.json"
+        assert main(["scales", "--state", "number:n=12", "--manifest", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["fine_scale"] == pytest.approx(0.2)
+        assert json.loads(path.read_text())["command"] == "scales"
+
+    def test_evolve_replay_never_reuses_output_prefix(self, tmp_path):
+        prefix = str(tmp_path / "orig")
+        flags = ["--t-final", "0.02", "--grid-points", "512", "--t-steps", "2"]
+        assert main(["evolve", *flags, "--out-prefix", prefix]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(SystemExit) as exc:  # argparse: --out-prefix is required
+            main(["evolve", "--config", prefix + "_manifest.json"])
+        assert exc.value.code == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert main(["evolve", "--config", prefix + "_manifest.json",
+                     "--out-prefix", str(tmp_path / "copy")]) == 0
+        for name in before:
+            if name != "orig_manifest.json":
+                copy = tmp_path / name.replace("orig", "copy", 1)
+                assert copy.read_bytes() == before[name]
+
     def test_rerun_bit_exact(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         argv = ["fidelity-curve", "--state", "squeezed:u=0.5",

@@ -28,7 +28,7 @@ from subplanck import (
     make_thermal,
     quad_moments,
 )
-from subplanck.fock import _m_seq, displace_state, displacement_matrices
+from subplanck.fock import _m_seq, displacement_matrices
 from subplanck.quadrature import polar_rule
 
 
@@ -95,7 +95,9 @@ class TestDisplacementElement:
 
     def test_unitarity_on_contained_state(self):
         psi = make_coherent(ComplexAmplitude(1.0, 1.0), 40)
-        out = displace_state(psi, 0.8 - 0.3j)
+        mu = 0.8 - 0.3j
+        r = np.sqrt(psi.dim - 1) + abs(mu)  # D(mu)|psi> stays within ceil(r^2 + 8r + 16) levels
+        out = displacement_matrix(psi.dim, mu, rows=int(np.ceil(r * r + 8 * r + 16))) @ psi.coeffs
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-8)
 
     def test_completeness_schur_face(self):
