@@ -593,15 +593,25 @@ def _config_flags(path):
     return pre
 
 
+def _config_path(argv):
+    """The file that --config names in argv, as --config PATH or --config=PATH; None if absent."""
+    for idx, item in enumerate(argv):
+        if item.startswith("--config="):
+            return item[len("--config="):]
+        if item == "--config":
+            if idx + 1 == len(argv):
+                raise ValueError("--config needs a JSON file")
+            return argv[idx + 1]
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--config" in argv:  # the file's flags are defaults; explicit flags win
-            idx = argv.index("--config")
-            if idx + 1 == len(argv):
-                raise ValueError("--config needs a JSON file")
-            argv = argv[:1] + _config_flags(argv[idx + 1]) + argv[1:]
+        config = _config_path(argv)
+        if config is not None:  # the file's flags are defaults; explicit flags win
+            argv = argv[:1] + _config_flags(config) + argv[1:]
         args = ap.parse_args(argv)
         if getattr(args, "trunc", None) is not None and args.trunc < 1:
             raise ValueError("--trunc must be >= 1")

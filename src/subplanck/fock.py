@@ -21,7 +21,9 @@ M_n[d, point] per step.  It is the package's only Laguerre recurrence:
 every radial sum (displacement matrices, the characteristic function on
 polar nodes, the entanglement fidelities) and the Gauss-Laguerre weights
 of `quadrature` contract its slabs, so a call costs as many Python steps
-as the longest diagonal it needs.  Likewise `_hermite_rows` is the only
+as the longest diagonal it needs; the recurrence coefficients are
+tabulated once per call (per block of steps), so a step costs five
+in-place array operations.  Likewise `_hermite_rows` is the only
 Hermite recurrence (scaled past x^2/2 = 700), for the position-space
 projection and the separable phase-space kernel of `phasespace`.  The
 teleportation noise channel needs no radial sums: `_noise_kernel` gives
@@ -228,7 +230,10 @@ def _m_seq(ds, counts, x):
 
     Yields M_n, n = 0 .. counts[0] - 1.  `counts` (iterates wanted per
     offset) must be nonincreasing: M_n holds only the leading rows with
-    counts > n, so a call costs counts[0] Python steps.  The slabs are
+    counts > n, so a call costs counts[0] Python steps.  The coefficients
+    2n+1+d and sqrt(n(n+d)) are tabulated for all offsets once per block of
+    max(x.size, 16) steps (so a table holds no more values than a slab, or
+    than 16 rows of offsets), and each step reads its rows.  The slabs are
     read-only views of three buffers that the call reuses, and each is
     overwritten two steps after it is yielded: a caller that keeps slabs
     must copy them.  Far-point slabs are fresh copies.
@@ -244,7 +249,8 @@ def _m_seq(ds, counts, x):
     d = np.asarray(ds, dtype=float)[:, None]
     counts = np.asarray(counts)
     steps = int(counts[0]) if counts.size else 0
-    active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0)
+    active = np.count_nonzero(counts[:, None] > np.arange(steps), axis=0).tolist()
+    block = max(16, x.size)  # steps per coefficient table
     # M_0 = x^(d/2) e^(-x/2) / sqrt(d!) in the log domain, so large offsets
     # underflow cleanly to 0; row d = 0 is e^(-x/2) also at x = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,12 +266,15 @@ def _m_seq(ds, counts, x):
         k = active[n]
         cur, prev, spare = cur[:k], prev[:k], spare[:k]
         if n:
-            m, dk = n - 1, d[:k]
-            nxt = np.subtract(2 * m + 1 + dk, x, out=spare)
+            i = (n - 1) % block
+            if not i:  # coefficient rows m = n - 1 .. n - 2 + block
+                m = np.arange(n - 1, min(n + block, steps))[:, None, None]
+                diag, root = 2 * m[:-1] + 1 + d, np.sqrt(m * (m + d))  # root[i + 1]: m + 1
+            nxt = np.subtract(diag[i, :k], x, out=spare)
             nxt *= cur
-            prev *= np.sqrt(m * (m + dk))  # M_{n-2} is spent: scale it in place
+            prev *= root[i, :k]  # M_{n-2} is spent: scale it in place
             nxt -= prev
-            nxt /= np.sqrt((m + 1) * (m + 1 + dk))
+            nxt /= root[i + 1, :k]
             cur, prev, spare = nxt, cur, prev
         if not far.size:
             yield cur

@@ -59,28 +59,32 @@ def _bold_phi_radial(diags, x):
 
     c_0 = 1, c_{>0} = 2, over the trimmed diagonals [(d, w_d)] in
     increasing d, w_d[n] = rho_{n+d,n}; a diagonal rho keeps only d = 0.
-    The slabs kept for the pairing hold at most CHUNK_ELEMENTS values.
+    The pairing reaches back d_max slabs at most, so the last d_max slabs
+    are copied into a ring (a diagonal rho copies none), and the d_max + 1
+    slabs held per node block hold at most CHUNK_ELEMENTS values.
     """
     dim = trimmed_support(diags)
     ks = np.arange(dim)
     c_k = np.where(ks[None, :] > ks[:, None], 2.0, 1.0)  # at (n, n + k)
     grams = [(2.0 if d else 1.0) * c_k[: w.size, : w.size] * np.real(np.outer(w, np.conj(w)))
              for d, w in diags]  # G_d[n, n + k] = c_d c_k Re(w_d[n] conj(w_d[n + k]))
+    span = diags[-1][0]  # d_max
+    held = (span + 1) * dim - span * (span + 1) // 2  # rows of slabs 0 .. d_max, the most at once
     out = np.zeros(x.size)
-    block = max(1, CHUNK_ELEMENTS // (dim * (dim + 1) // 2))  # slabs kept per node
+    block = max(1, CHUNK_ELEMENTS // held)  # nodes per block
     for lo in range(0, x.size, block):
         acc = out[lo : lo + block]
-        slabs = []
+        ring = [np.empty((dim - j, acc.size)) for j in range(span)]  # slab m in ring[m % span]
         for m, slab in enumerate(_m_seq(ks, dim - ks, x[lo : lo + block])):
-            slab = slab.copy()  # _m_seq reuses its buffers
-            slabs.append(slab)
             for (d, w), g in zip(diags, grams):
                 n = m - d  # M_n pairs with M_{n+d} over k < w_d.size - n
                 if n < 0:
                     break
                 if n < w.size:
                     k = w.size - n
-                    acc += g[n, n:] @ (slabs[n][:k] * slab[:k])
+                    acc += g[n, n:] @ ((ring[n % span] if d else slab)[:k] * slab[:k])
+            if span:
+                ring[m % span][: slab.shape[0]] = slab  # after use: it frees slab m - span
     return out
 
 

@@ -163,15 +163,22 @@ def state_diagonals(state):
     Entries at or below 1e-18 (absolute; states are unit-normalized)
     contribute less than double-precision roundoff to any kernel sum, so
     they and trailing runs of them are trimmed.  Over-padded states then
-    cost what their actual support costs.
+    cost what their actual support costs.  All offsets come from one
+    extraction: row d of w[d, n] = rho_{n+d, n} (c_{n+d} conj(c_n) for a pure
+    state, zero past n + d = dim - 1) is indexed from the zero-padded state,
+    and each w_d is a view of its row up to the last live entry.
     """
-    out = []
-    for d in range(state.dim):
-        w = state.diagonal(d)
-        alive = np.nonzero(np.abs(w) > 1e-18)[0]
-        if alive.size:
-            out.append((d, w[: alive[-1] + 1]))
-    return out
+    dim = state.dim
+    n = np.arange(dim)
+    rows = n[:, None] + n  # [d, n] -> n + d
+    if isinstance(state, PureState):
+        c = state.coeffs
+        w = np.concatenate([c, np.zeros(dim, dtype=complex)])[rows] * np.conj(c)
+    else:
+        w = np.concatenate([state.matrix, np.zeros_like(state.matrix)])[rows, n]
+    alive = np.abs(w) > 1e-18
+    ends = dim - np.argmax(alive[:, ::-1], axis=1)  # one past the last live entry
+    return [(d, w[d, : ends[d]]) for d in np.flatnonzero(alive.any(axis=1)).tolist()]
 
 
 def trimmed_support(diags) -> int:

@@ -231,6 +231,17 @@ def ref_m_seq(d, x):
         n += 1
 
 
+def ref_state_diagonals(state):
+    """[(d, w_d)] by the per-offset loop: w_d = state.diagonal(d) up to its last |entry| > 1e-18."""
+    out = []
+    for d in range(state.dim):
+        w = state.diagonal(d)
+        alive = np.nonzero(np.abs(w) > 1e-18)[0]
+        if alive.size:
+            out.append((d, w[: alive[-1] + 1]))
+    return out
+
+
 def ref_char_on_polar(diags, x, theta):
     """Characteristic function on a polar grid by the per-(d, n) loop over ref_m_seq."""
     x = np.asarray(x, dtype=float)

@@ -104,6 +104,8 @@ MALFORMED = {
     "missing config file": ["scales", "--state", "coherent", "--config", "{tmp}/none.json"],
     "invalid config file": ["scales", "--state", "coherent", "--config", "{tmp}/bad.json"],
     "config not an object": ["scales", "--state", "coherent", "--config", "{tmp}/list.json"],
+    "config= without file": ["scales", "--state", "coherent", "--config="],
+    "config= missing file": ["scales", "--state", "coherent", "--config={tmp}/none.json"],
     "zero t": ["teleport-mc", "--state", "coherent", "--t", "0", "--out", "{tmp}/m.csv"],
     "zero samples": ["teleport-mc", "--state", "coherent", "--t", "1", "--samples", "0",
                      "--out", "{tmp}/m.csv"],
@@ -527,6 +529,18 @@ class TestManifest:
                    "--out", str(out3)])
         assert rc == 0
         assert out1.read_bytes() == out3.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::subplanck.errors.TruncationWarning")  # random states own their top level
+    def test_config_equals_form_replays(self, tmp_path):
+        # argparse takes --config=PATH as well as --config PATH; both must read the file
+        first = tmp_path / "a.csv"
+        assert main(["random-average", "--dim", "4", "--samples", "2", "--t-steps", "2",
+                     "--seed", "5", "--out", str(first)]) == 0
+        assert main(["random-average", "--dim", "4", f"--config={first}.manifest.json",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        doc = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert (doc["config"]["samples"], doc["seed"], doc["config"]["t_steps"]) == (2, 5, 2)
+        assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
 
     def test_blas_threads_recorded_and_replayed(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

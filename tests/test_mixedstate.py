@@ -245,6 +245,18 @@ class TestEntanglementFidelity:
             fn(rho, 0.7)
             assert (len(diagonals), len(radial)) == (1, 1)
 
+    def test_diagonal_state_runs_one_radial_pass(self, count_calls):
+        # a diagonal rho pairs each slab with itself only (d_max = 0): one node block
+        diagonal = DensityOp(np.diag(np.arange(1.0, 33.0) / 528.0))
+        for rho in (make_thermal(1.0, 64), make_number(5, 16).density(), diagonal):
+            assert [d for d, _ in state_diagonals(rho)] == [0]
+            support = trimmed_support(state_diagonals(rho))
+            gauss_laguerre_scaled(support), gauss_laguerre_scaled(support + 1)
+            radial = count_calls("_m_seq")
+            entanglement_fidelity(rho, 0.7)
+            assert len(radial) == 1
+            assert radial[0][2].size == 2 * support + 1  # both rules' nodes in one call
+
     def test_perfect_at_zero(self):
         assert entanglement_fidelity(make_thermal(1.0, 64), 0.0) == 1.0
 

@@ -16,6 +16,7 @@ from oracles import (
     ref_hermite_functions,
     ref_husimi,
     ref_squasi_values,
+    ref_state_diagonals,
     ref_wigner_parity,
 )
 
@@ -120,6 +121,26 @@ class TestCharFn:
         want = np.mean(np.abs(char_on_polar(st, x, theta)) ** 2, axis=1)
         got = phasespace_module._char_sq_radial(diags, x)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+class TestStateDiagonals:
+    def test_one_extraction_equals_per_offset_loop(self, catalog):
+        rng = make_rng(13)
+        z = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        states = dict(
+            catalog,
+            overpadded=make_random(20, seed=3).padded(60),
+            compass35=make_compass(3.5355, 96),  # offsets d != 0 mod 4 are all skipped
+            thermal=make_thermal(1.0, 64),
+            rank3=DensityOp(z @ z.conj().T / np.sum(np.abs(z) ** 2)),
+        )
+        for name, st in states.items():
+            got, want = state_diagonals(st), ref_state_diagonals(st)
+            assert [d for d, _ in got] == [d for d, _ in want], name
+            for (_, g), (_, w) in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert {d % 4 for d, _ in state_diagonals(states["compass35"])} == {0}
+        assert trimmed_support(state_diagonals(states["overpadded"])) == 20
 
 
 class TestSOrderedChar:

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from oracles import density_at, padded_state, ref_mc_average
 
-from subplanck import DensityOp, PureState, make_number, make_rng, protocol
+from subplanck import (
+    DensityOp,
+    PureState,
+    entanglement_fidelity,
+    fidelity_quadrature,
+    make_number,
+    make_rng,
+    protocol,
+    scale_report,
+)
 from subplanck.phasespace import husimi_values, overlap, squasi_purity, squasi_values
 from subplanck.protocol import ConditionalKernel, OutcomeSampler, mc_average
 
@@ -49,6 +58,8 @@ def trace_product(rho1, rho2):
     return float(np.vdot(rho1.density().matrix, rho2.density().matrix).real)
 
 
+# log-uniform squeezing parameter over the paper's range and past it
+t_values = st.floats(np.log10(1e-3), np.log10(200.0)).map(lambda e: 10.0**e)
 coordinates = st.floats(-10.0, 10.0, allow_nan=False)
 points = st.lists(st.builds(complex, coordinates, coordinates), min_size=1, max_size=24).map(np.array)
 
@@ -134,3 +145,46 @@ def test_contraction_pair_within_rank_tolerance(rho, t):
     u, sv, vt = np.linalg.svd(n[:j, :j])
     roundoff = np.linalg.norm((u * sv) @ vt - n[:j, :j], 2)
     assert np.linalg.norm(padded - n, 2) <= 2.0 * tol + roundoff
+
+
+# The paper's identities on random pure states; the worst cases quoted were
+# measured over 1000 draws of these strategies (dims 1-120, t in [1e-3, 200]).
+
+
+@PROPERTY_SETTINGS
+@given(pure_states(), t_values)
+def test_forms_1_and_4_agree(state, t):
+    # measured worst |F1 - F4|: 1.8e-14
+    assert abs(fidelity_quadrature(state, t, 1) - fidelity_quadrature(state, t, 4)) <= 5e-14
+
+
+@PROPERTY_SETTINGS
+@given(pure_states(), t_values)
+def test_duality_t_over_2(state, t):
+    # t F(t)/2 = F(4/t); measured worst deviation: 6.1e-15
+    lhs = t * fidelity_quadrature(state, t, 4) / 2.0
+    assert abs(lhs - fidelity_quadrature(state, 4.0 / t, 4)) <= 2e-14
+
+
+@PROPERTY_SETTINGS
+@given(pure_states(), t_values)
+def test_coherent_bound(state, t):
+    # coherent states reach 1/(1 + t/2); measured worst excess: 1.0e-15 (the vacuum itself)
+    assert fidelity_quadrature(state, t, 4) <= 1.0 / (1.0 + t / 2.0) + 2e-15
+
+
+@PROPERTY_SETTINGS
+@given(pure_states(), t_values)
+def test_entanglement_fidelity_of_pure_density_is_form_4(state, t):
+    # measured worst |difference|: 5.6e-16
+    got = entanglement_fidelity(state.density(), t)
+    assert abs(got - fidelity_quadrature(state, t, 4)) <= 2e-15
+
+
+@pytest.mark.filterwarnings("ignore::subplanck.TruncationWarning")  # random states fill the top level
+@PROPERTY_SETTINGS
+@given(pure_states())
+def test_fine_scale_times_extent_is_two(state):
+    # measured worst |fine_scale * extent - 2|: 4.4e-16
+    report = scale_report(state)
+    assert abs(report.fine_scale * report.extent - 2.0) <= 2e-15
