@@ -6,9 +6,12 @@ seed, tool version, and BLAS library and thread settings.  The manifest
 goes to --manifest if given, else to <out-prefix>_manifest.json for
 `evolve` and to <out>.manifest.json for the others; `scales` printing to
 stdout writes one only with --manifest.  Re-running with the same
-configuration (`--config <manifest>` replays every flag but the output
-paths), library versions and BLAS thread count reproduces output files byte
-for byte (timestamps live only in the manifest).  CSV files carry
+configuration (`--config <manifest>`, in any spelling argparse takes, such
+as --config=PATH or --conf PATH, replays every flag but the output paths),
+library versions and BLAS thread count reproduces output files byte for
+byte (timestamps live only in the manifest).  --trunc sets the Fock
+truncation of built states, except `random:` states, whose size is their
+`dim` (with --trunc they exit 2).  CSV files carry
 '#'-prefixed key=value header lines followed by comma-separated numeric
 rows printed with 17 significant digits.
 
@@ -126,6 +129,8 @@ class StateSpec:
             raise ValueError(
                 f"unknown state kind {kind!r}; choose from {sorted(STATE_KINDS)}"
             )
+        if kind == "random" and trunc is not None:
+            raise ValueError("--trunc does not apply to random: states (their size is dim)")
         params = dict(STATE_KINDS[kind][0])
         if rest:
             for item in rest.split(","):
@@ -170,16 +175,8 @@ def _fmt(x):
 
 
 def _row_format(types):
-    """A %-template writing a row of these field types as _fmt does, or None."""
-    fields = []
-    for t in types:
-        if issubclass(t, (int, np.integer)):
-            fields.append("%d")
-        elif issubclass(t, (float, np.floating)):
-            fields.append("%.17g")
-        else:
-            return None
-    return ",".join(fields)
+    """A %-template writing a row of these field types as _fmt does: %d for ints, else %.17g."""
+    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types)
 
 
 def write_csv(path, header, columns, rows):
@@ -194,8 +191,7 @@ def write_csv(path, header, columns, rows):
         types = tuple(map(type, row))
         if types not in formats:
             formats[types] = _row_format(types)
-        fmt = formats[types]
-        lines.append(fmt % row if fmt else ",".join(_fmt(v) for v in row))
+        lines.append(formats[types] % row)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -325,11 +321,9 @@ def cmd_grid(args):
     elif args.function == "husimi":
         vals = np.pi * husimi_values(state, pts)
         label, title = "pi Q", f"Husimi, {spec.descriptor}"
-    elif args.function == "charsq":
+    else:  # charsq (argparse choices)
         vals = np.abs(char_values(state, pts)) ** 2
         label, title = "|Phi|^2", f"characteristic (squared), {spec.descriptor}"
-    else:
-        raise ValueError("function must be wigner, husimi or charsq")
     header = {
         "state": spec.descriptor,
         "function": args.function,
@@ -594,15 +588,13 @@ def _config_flags(path):
 
 
 def _config_path(argv):
-    """The file that --config names in argv, as --config PATH or --config=PATH; None if absent."""
-    for idx, item in enumerate(argv):
-        if item.startswith("--config="):
-            return item[len("--config="):]
-        if item == "--config":
-            if idx + 1 == len(argv):
-                raise ValueError("--config needs a JSON file")
-            return argv[idx + 1]
-    return None
+    """The file that --config names in argv (None if absent), in every spelling argparse takes."""
+    ap = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    ap.add_argument("--config")
+    try:
+        return ap.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def main(argv=None) -> int:

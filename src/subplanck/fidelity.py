@@ -12,7 +12,7 @@ forms 2 and 3, pi int Q^2 and the gradient slope are exact Hermite-basis
 traces (`phasespace.squasi_purity`).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -96,13 +96,7 @@ class ScaleReport:
     state: str = ""
 
     def as_dict(self):
-        return {
-            "slope0": self.slope0,
-            "t_crit": self.t_crit,
-            "fine_scale": self.fine_scale,
-            "extent": self.extent,
-            "state": self.state,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

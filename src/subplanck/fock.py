@@ -136,10 +136,6 @@ class PureState:
         c[: self.dim] = self.coeffs
         return PureState(c, normalize=False, fix_phase=False)
 
-    def overlap(self, other) -> complex:
-        n = min(self.dim, other.dim)  # tails beyond the common dim do not overlap
-        return complex(np.vdot(self.coeffs[:n], other.coeffs[:n]))
-
 
 class DensityOp:
     """Hermitian, unit-trace, positive matrix on the truncated space."""
@@ -205,13 +201,6 @@ class ThermalParams:
         nbar = float(nbar)
         lam = np.inf if nbar == 0 else np.log1p(1.0 / nbar)
         return cls(nbar, lam)
-
-    @classmethod
-    def from_lambda(cls, lam):
-        lam = float(lam)
-        if lam <= 0:
-            raise ValueError("lam must be > 0")
-        return cls(1.0 / np.expm1(lam), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +421,14 @@ def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
 # state constructors
 # ---------------------------------------------------------------------------
 
-def _check_tail(probs_beyond, what, override=False):
-    if probs_beyond > TAIL_TOL and not override:
+def _check_tail(probs, what, override=False):
+    """Refuse (unless `override`) a truncation whose tail max(0, 1 - sum(probs)) exceeds TAIL_TOL."""
+    tail = max(0.0, 1.0 - float(np.sum(probs)))
+    if tail > TAIL_TOL and not override:
         raise TruncationError(
-            f"{what}: truncated tail mass {probs_beyond:.3e} exceeds {TAIL_TOL:.0e}; "
+            f"{what}: truncated tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
             "increase the dimension or pass allow_truncation=True",
-            tail=probs_beyond,
+            tail=tail,
         )
 
 
@@ -445,16 +436,13 @@ def make_coherent(nu, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     """Coherent state |nu>: c_n = e^{-|nu|^2/2} nu^n / sqrt(n!)."""
     nuc = _as_complex(nu)
     x = abs(nuc) ** 2
-    n = np.arange(dim)
     if x == 0:
-        c = np.zeros(dim, dtype=complex)
-        c[0] = 1.0
-        return PureState(c, normalize=False)
+        return make_number(0, dim)
+    n = np.arange(dim)
     logmag = 0.5 * n * np.log(x) - 0.5 * gammaln(n + 1) - x / 2
     phase = (nuc / abs(nuc)) ** n
     c = np.exp(logmag) * phase
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    _check_tail(tail, "make_coherent", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_coherent", allow_truncation)
     return PureState(c)
 
 
@@ -476,12 +464,11 @@ def make_squeezed(u, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     c_{2k} = (cosh u)^{-1/2} (-tanh u)^k sqrt((2k)!) / (2^k k!).
     """
     u = float(u)
-    c = np.zeros(dim, dtype=complex)
-    k = np.arange((dim + 1) // 2)
     th = np.tanh(u)
     if th == 0:
-        c[0] = 1.0
-        return PureState(c, normalize=False)
+        return make_number(0, dim)
+    c = np.zeros(dim, dtype=complex)
+    k = np.arange((dim + 1) // 2)
     logmag = (
         k * np.log(abs(th))
         + 0.5 * gammaln(2 * k + 1)
@@ -491,8 +478,7 @@ def make_squeezed(u, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     )
     vals = np.exp(logmag) * np.where(th > 0, (-1.0) ** k, 1.0)
     c[2 * k] = vals
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    _check_tail(tail, "make_squeezed", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_squeezed", allow_truncation)
     return PureState(c)
 
 
@@ -505,18 +491,16 @@ def make_compass(a, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     a = float(a)
     if a < 0:
         raise ValueError("a must be >= 0")
-    c = np.zeros(dim, dtype=complex)
     if a == 0:
-        c[0] = 1.0
-        return PureState(c, normalize=False)
+        return make_number(0, dim)
+    c = np.zeros(dim, dtype=complex)
     big_a = a * a
     n = np.arange(0, dim, 4)
     # log of sqrt(2 (cosh A + cos A)) without overflowing cosh
     lognorm = 0.5 * (big_a + np.log1p(np.exp(-2 * big_a) + 2 * np.exp(-big_a) * np.cos(big_a)))
     logmag = np.log(2.0) + n * np.log(a) - 0.5 * gammaln(n + 1) - lognorm
     c[n] = np.exp(logmag)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    _check_tail(tail, "make_compass", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_compass", allow_truncation)
     return PureState(c)
 
 
@@ -537,13 +521,10 @@ def make_thermal(params, dim=DEFAULT_DIM, allow_truncation=False) -> DensityOp:
     if not isinstance(params, ThermalParams):
         params = ThermalParams.from_nbar(params)
     if params.nbar == 0:
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-        return DensityOp(m, validate=False)
+        return make_number(0, dim).density()
     q = np.exp(-params.lam)
     p = (1 - q) * q ** np.arange(dim)
-    tail = max(0.0, 1.0 - float(np.sum(p)))
-    _check_tail(tail, "make_thermal", allow_truncation)
+    _check_tail(p, "make_thermal", allow_truncation)
     p /= np.sum(p)
     return DensityOp(np.diag(p.astype(complex)), validate=False)
 

@@ -540,8 +540,6 @@ def husimi(state, alpha) -> float:
 def s_quasidist(state, order, alpha) -> float:
     """s-ordered quasidistribution W^(s)(alpha), s <= 0: the scalar form of squasi_values."""
     s = order.s if isinstance(order, OrderParam) else float(order)
-    if s > 0:
-        raise ValueError("s > 0 rejected")
     return float(squasi_values(state, s, np.array(_as_complex(alpha))))
 
 

@@ -73,11 +73,17 @@ SAMPLER_MIN_MASS = 0.999
 _BLOCK_ELEMENTS = 2**15
 
 
-def epr_wigner(t, alpha, beta) -> float:
-    """Joint Wigner function of the two-mode squeezed vacuum resource."""
+def _positive_t(t, what) -> float:
+    """as_t(t), refusing t = 0 (infinite squeezing) with "<what> needs t > 0"."""
     t = as_t(t)
     if t <= 0:
-        raise ValueError("epr_wigner needs t > 0")
+        raise ValueError(f"{what} needs t > 0")
+    return t
+
+
+def epr_wigner(t, alpha, beta) -> float:
+    """Joint Wigner function of the two-mode squeezed vacuum resource."""
+    t = _positive_t(t, "epr_wigner")
     a = _as_complex(alpha)
     b = _as_complex(beta)
     return float(
@@ -88,9 +94,7 @@ def epr_wigner(t, alpha, beta) -> float:
 
 def p_dist(t, nu) -> float:
     """Noise distribution P(nu) = (2/pi t) e^{-2 |nu|^2 / t}."""
-    t = as_t(t)
-    if t <= 0:
-        raise ValueError("p_dist needs t > 0")
+    t = _positive_t(t, "p_dist")
     return float(2.0 / (np.pi * t) * np.exp(-2.0 * abs(_as_complex(nu)) ** 2 / t))
 
 
@@ -178,9 +182,7 @@ def _density_grid(state, t, resolution=512):
 
 def alice_outcome_density(state, t, xi) -> float:
     """Probability density p(xi) = W^(s_t)(xi) of Alice's joint measurement outcome."""
-    t = as_t(t)
-    if t <= 0:
-        raise ValueError("alice_outcome_density needs t > 0")
+    t = _positive_t(t, "alice_outcome_density")
     return float(squasi_values(state, _outcome_order(t), np.array(_as_complex(xi))))
 
 
@@ -188,10 +190,7 @@ class OutcomeSampler:
     """Inverse-CDF sampler over a grid of p(xi) = W^(s_t)(xi) (default 512 x 512)."""
 
     def __init__(self, state, t, resolution=512):
-        t = as_t(t)
-        if t <= 0:
-            raise ValueError("sampling requires t > 0")
-        self.t = t
+        self.t = t = _positive_t(t, "OutcomeSampler")
         self.grid = _density_grid(state, t, resolution=resolution)
         p = np.clip(self.grid.values, 0.0, None)
         mass = float(np.sum(p) * self.grid.cell_measure)
@@ -245,9 +244,7 @@ class ConditionalKernel:
     """
 
     def __init__(self, state, t):
-        t = as_t(t)
-        if t <= 0:
-            raise ValueError("conditional outputs require t > 0")
+        t = _positive_t(t, "ConditionalKernel")
         self.order = -4.0 * t / (4.0 + t * t)
         self.kappa = (4.0 - t * t) / (4.0 + t * t)
         self.ctilde = phasespace._coefficient_matrix(state)
@@ -339,9 +336,7 @@ def conditional_fidelity(state, t, xi) -> np.ndarray:
     `mixedstate.entanglement_fidelity`.  At t = 2 and a pure input this is
     |<xi|psi>|^2.  `xi` holds complex amplitudes.
     """
-    t = as_t(t)
-    if t <= 0:
-        raise ValueError("conditional_fidelity needs t > 0")
+    t = _positive_t(t, "conditional_fidelity")
     return _fidelity_from(phasespace._coefficient_matrix(state), t, xi)
 
 
@@ -392,9 +387,10 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
 
     Outcomes are drawn from `sampler`, an `OutcomeSampler(state, t)` that
     the caller builds once and may reuse across calls (its grid costs a C~
-    build of its own).  Each outcome's grid is weighted by 1/q(xi), q the
-    sampler's cell density, so the mean is an unbiased importance-sampling
-    estimate of the averaged channel's output.  The kernel's K x K matrix
+    build of its own); a sampler built for another t is refused, as its
+    outcomes follow that t's p(xi).  Each outcome's grid is weighted by
+    1/q(xi), q the sampler's cell density, so the mean is an unbiased
+    importance-sampling estimate of the averaged channel's output.  The kernel's K x K matrix
     N is trimmed and factored once per call (`_contraction_pair`): the
     mean contracts over N's leading j orders, with the dropped border and
     the dropped singular values each within s_0 K eps, as N_j ~ A B^T
@@ -415,6 +411,8 @@ def mc_average(state, t, samples, rng, sampler) -> MCResult:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     t = as_t(t)
+    if getattr(sampler, "t", t) != t:  # its outcomes would follow another t's p(xi)
+        raise ValueError(f"sampler was built for t = {sampler.t}, not t = {t}")
     kern = ConditionalKernel(state, t)
     xi1s, xi2s, dens = sampler.sample(rng, samples)
     _check_conditioning(dens)

@@ -113,6 +113,8 @@ MALFORMED = {
     "one-point grid": ["grid", "--state", "coherent", "--grid-res", "1", "--out", "{tmp}/g.csv"],
     "random-average takes no trunc": ["random-average", "--dim", "2", "--trunc", "8",
                                       "--out", "{tmp}/r.csv"],
+    "random state takes no trunc": ["fidelity-curve", "--state", "random:dim=8,seed=1",
+                                    "--trunc", "4", "--t-steps", "2", "--out", "{tmp}/f.csv"],
     "zero t-steps": ["fidelity-curve", "--state", "coherent", "--t-steps", "0",
                      "--out", "{tmp}/f.csv"],
     "one random sample": ["random-average", "--dim", "2", "--samples", "1", "--out", "{tmp}/r.csv"],
@@ -541,6 +543,30 @@ class TestManifest:
         doc = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert (doc["config"]["samples"], doc["seed"], doc["config"]["t_steps"]) == (2, 5, 2)
         assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::subplanck.errors.TruncationWarning")  # random states own their top level
+    @pytest.mark.parametrize("spelling", [["--conf", "{}"], ["--conf={}"], ["--c", "{}"]])
+    def test_config_prefix_replays(self, tmp_path, spelling):
+        # argparse takes any unique prefix of --config; the file must be read for each
+        first = tmp_path / "a.csv"
+        assert main(["random-average", "--dim", "4", "--samples", "2", "--t-steps", "2",
+                     "--seed", "5", "--out", str(first)]) == 0
+        flags = [s.format(f"{first}.manifest.json") for s in spelling]
+        assert main(["random-average", "--dim", "4", *flags, "--out", str(tmp_path / "b.csv")]) == 0
+        doc = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert (doc["config"]["samples"], doc["seed"], doc["config"]["t_steps"]) == (2, 5, 2)
+        assert (tmp_path / "b.csv").read_bytes() == first.read_bytes()
+
+    def test_ambiguous_config_prefix_writes_nothing(self, tmp_path):
+        # evolve also has --convergence, so --con names neither option
+        prefix = str(tmp_path / "orig")
+        assert main(["evolve", "--t-final", "0.02", "--grid-points", "512", "--t-steps", "2",
+                     "--out-prefix", prefix]) == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--con", prefix + "_manifest.json", "--out-prefix", prefix + "2"])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_blas_threads_recorded_and_replayed(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

@@ -475,6 +475,13 @@ class TestMonteCarlo:
         with pytest.raises(ConditioningError):
             mc_average(coh, 1.0, 5, make_rng(1), sampler=TinyLast())
 
+    def test_sampler_for_another_t_rejected(self, coh):
+        # the 1/q weights keep the mean grid unbiased, but the per-sample
+        # fidelities would be drawn from p(xi) at the sampler's t
+        sampler = OutcomeSampler(coh, 0.25, resolution=128)
+        with pytest.raises(ValueError, match="t = 0.25"):
+            mc_average(coh, 1.0, 5, make_rng(1), sampler=sampler)
+
 
 MC_STATES = {
     "coherent": lambda: make_coherent(ComplexAmplitude(1.0, 0.5), 48),
