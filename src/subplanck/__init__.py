@@ -25,7 +25,6 @@ from .fock import (
     ComplexAmplitude,
     DensityOp,
     PureState,
-    ThermalParams,
     displacement_element,
     displacement_matrix,
     make_coherent,
@@ -38,7 +37,6 @@ from .fock import (
     quad_moments,
 )
 from .phasespace import (
-    OrderParam,
     PhaseGrid,
     char_fn,
     char_grid,
@@ -54,7 +52,6 @@ from .phasespace import (
 from .fidelity import (
     FidelityCurve,
     ScaleReport,
-    SqueezeParam,
     classical_fidelity,
     coherent_fidelity,
     compass_fidelity,

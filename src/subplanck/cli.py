@@ -273,7 +273,7 @@ def cmd_fidelity_curve(args):
         fq = np.array([fidelity_quadrature(state, t, args.form) for t in ts])
         method = f"form{args.form}"
     try:
-        FidelityCurve(ts, fq, spec.descriptor, method).validate()
+        FidelityCurve(ts, fq).validate()
     except ValueError as exc:
         raise ValueError(f"curve validation failed: {exc}") from exc
     header = {
@@ -304,8 +304,6 @@ def cmd_scales(args):
 
 
 def cmd_grid(args):
-    if args.grid_extent is not None and args.grid_extent <= 0:
-        raise ValueError("--grid-extent must be > 0")
     spec = StateSpec.parse(args.state, args.trunc)
     state = spec.build()
     res = args.grid_res

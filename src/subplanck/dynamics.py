@@ -50,9 +50,17 @@ LEAK_TOL, MAX_FOCK_DIM = 1e-3, 1024
 
 @dataclass(frozen=True)
 class SpatialGrid:
+    """n_points >= 2 samples x_min + dx j, dx = (x_max - x_min)/n_points, finite x_min < x_max."""
+
     x_min: float = -30.0
     x_max: float = 30.0
     n_points: int = 4096
+
+    def __post_init__(self):
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ValueError("grid bounds must be finite with x_min < x_max")
+        if self.n_points < 2:
+            raise ValueError("grid needs at least 2 points")
 
     @property
     def dx(self) -> float:
@@ -69,13 +77,17 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """A run of t_final / dt steps (a whole number) of size dt: dt finite > 0, t_final finite >= 0."""
+
     dt: float = 2.5e-4
     t_final: float = 5.0
     grid: SpatialGrid = SpatialGrid()
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError("t_final must be finite and >= 0")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_final must be an integer number of steps")
@@ -122,7 +134,9 @@ class WaveFunction:
 
 
 def coherent_wavefunction(x0, p0, grid: SpatialGrid = SpatialGrid()) -> WaveFunction:
-    """Coherent state pi^{-1/4} exp(-(x - x0)^2/2 + i p0 x) on the grid."""
+    """Coherent state pi^{-1/4} exp(-(x - x0)^2/2 + i p0 x) on the grid (finite x0, p0)."""
+    if not (np.isfinite(x0) and np.isfinite(p0)):
+        raise ValueError("x0 and p0 must be finite")
     width = 1.0 / np.sqrt(2.0)
     if x0 - 5 * width < grid.x_min or x0 + 5 * width > grid.x_max:
         raise GridExtentError(

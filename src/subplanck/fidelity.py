@@ -29,32 +29,9 @@ from .phasespace import (
 from .quadrature import polar_rule
 
 
-@dataclass(frozen=True)
-class SqueezeParam:
-    """Squeezing strength t = 2 e^{-2r}; t = 0 is perfect teleportation."""
-
-    t: float
-
-    def __post_init__(self):
-        as_t(self.t)
-
-    @property
-    def r(self) -> float:
-        if self.t == 0:
-            return np.inf
-        return -0.5 * np.log(self.t / 2.0)
-
-    @property
-    def in_relevant_range(self) -> bool:
-        return 0.0 <= self.t <= 2.0
-
-    @classmethod
-    def from_r(cls, r):
-        return cls(2.0 * np.exp(-2.0 * r))
-
-
 def as_t(t) -> float:
-    t = t.t if isinstance(t, SqueezeParam) else float(t)
+    """The squeezing t = 2 e^{-2r} as a float, checked finite and >= 0; t = 0 teleports perfectly."""
+    t = float(t)
     if not 0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")
     return t
@@ -62,12 +39,10 @@ def as_t(t) -> float:
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """Sampled fidelity-vs-t curve with its provenance tag."""
+    """Sampled fidelity-vs-t curve."""
 
     t: np.ndarray
     f: np.ndarray
-    state: str = ""
-    method: str = ""
 
     def validate(self):
         t, f = np.asarray(self.t, float), np.asarray(self.f, float)

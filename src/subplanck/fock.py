@@ -129,13 +129,6 @@ class PureState:
         c = self.coeffs
         return c[d:] * np.conj(c[: c.size - d])
 
-    def padded(self, dim) -> "PureState":
-        if dim < self.dim:
-            raise ValueError("cannot shrink a state")
-        c = np.zeros(dim, dtype=complex)
-        c[: self.dim] = self.coeffs
-        return PureState(c, normalize=False, fix_phase=False)
-
 
 class DensityOp:
     """Hermitian, unit-trace, positive matrix on the truncated space."""
@@ -170,38 +163,6 @@ class DensityOp:
     def diagonal(self, d) -> np.ndarray:
         """w_d[n] = rho_{n+d, n} for offset d >= 0 (a fresh array)."""
         return np.diagonal(self.matrix, offset=-d).copy()
-
-    def padded(self, dim) -> "DensityOp":
-        if dim < self.dim:
-            raise ValueError("cannot shrink an operator")
-        m = np.zeros((dim, dim), dtype=complex)
-        m[: self.dim, : self.dim] = self.matrix
-        return DensityOp(m, validate=False)
-
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """Mean occupation nbar and inverse temperature lam, nbar=(e^lam-1)^-1."""
-
-    nbar: float
-    lam: float
-
-    def __post_init__(self):
-        if not 0 <= self.nbar < np.inf:
-            raise ValueError("nbar must be finite and >= 0")
-        if np.isfinite(self.lam):
-            implied = 1.0 / np.expm1(self.lam)
-            if abs(implied - self.nbar) > 1e-12 * max(1.0, self.nbar):
-                raise ValueError("nbar and lam are inconsistent")
-        elif self.nbar != 0:
-            raise ValueError("lam = inf requires nbar = 0")
-
-    @classmethod
-    def from_nbar(cls, nbar):
-        nbar = float(nbar)
-        lam = np.inf if nbar == 0 else np.log1p(1.0 / nbar)
-        return cls(nbar, lam)
-
 
 # ---------------------------------------------------------------------------
 # displacement matrix elements
@@ -421,18 +382,18 @@ def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
 # state constructors
 # ---------------------------------------------------------------------------
 
-def _check_tail(probs, what, override=False):
-    """Refuse (unless `override`) a truncation whose tail max(0, 1 - sum(probs)) exceeds TAIL_TOL."""
+def _check_tail(probs, what):
+    """Raise TruncationError when the dropped tail max(0, 1 - sum(probs)) exceeds TAIL_TOL."""
     tail = max(0.0, 1.0 - float(np.sum(probs)))
-    if tail > TAIL_TOL and not override:
+    if tail > TAIL_TOL:
         raise TruncationError(
             f"{what}: truncated tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
-            "increase the dimension or pass allow_truncation=True",
+            "increase the dimension",
             tail=tail,
         )
 
 
-def make_coherent(nu, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
+def make_coherent(nu, dim=DEFAULT_DIM) -> PureState:
     """Coherent state |nu>: c_n = e^{-|nu|^2/2} nu^n / sqrt(n!)."""
     nuc = _as_complex(nu)
     x = abs(nuc) ** 2
@@ -442,7 +403,7 @@ def make_coherent(nu, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     logmag = 0.5 * n * np.log(x) - 0.5 * gammaln(n + 1) - x / 2
     phase = (nuc / abs(nuc)) ** n
     c = np.exp(logmag) * phase
-    _check_tail(np.abs(c) ** 2, "make_coherent", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_coherent")
     return PureState(c)
 
 
@@ -457,7 +418,7 @@ def make_number(n, dim=DEFAULT_DIM) -> PureState:
     return PureState(c, normalize=False)
 
 
-def make_squeezed(u, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
+def make_squeezed(u, dim=DEFAULT_DIM) -> PureState:
     """Squeezed vacuum exp(u (b^2 - b+^2)/2)|0>; x-quadrature squeezed for u>0.
 
     Only even coefficients are populated:
@@ -478,11 +439,11 @@ def make_squeezed(u, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     )
     vals = np.exp(logmag) * np.where(th > 0, (-1.0) ** k, 1.0)
     c[2 * k] = vals
-    _check_tail(np.abs(c) ** 2, "make_squeezed", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_squeezed")
     return PureState(c)
 
 
-def make_compass(a, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
+def make_compass(a, dim=DEFAULT_DIM) -> PureState:
     """Four-lobe superposition of |a>, |-a>, |ia>, |-ia| (a real >= 0).
 
     Coefficients live on n = 0 mod 4:
@@ -500,7 +461,7 @@ def make_compass(a, dim=DEFAULT_DIM, allow_truncation=False) -> PureState:
     lognorm = 0.5 * (big_a + np.log1p(np.exp(-2 * big_a) + 2 * np.exp(-big_a) * np.cos(big_a)))
     logmag = np.log(2.0) + n * np.log(a) - 0.5 * gammaln(n + 1) - lognorm
     c[n] = np.exp(logmag)
-    _check_tail(np.abs(c) ** 2, "make_compass", allow_truncation)
+    _check_tail(np.abs(c) ** 2, "make_compass")
     return PureState(c)
 
 
@@ -516,15 +477,16 @@ def make_random(dim, seed=None, rng=None) -> PureState:
     return PureState(z)
 
 
-def make_thermal(params, dim=DEFAULT_DIM, allow_truncation=False) -> DensityOp:
-    """Thermal state, diagonal (1 - e^-lam) e^{-lam n}, renormalized."""
-    if not isinstance(params, ThermalParams):
-        params = ThermalParams.from_nbar(params)
-    if params.nbar == 0:
+def make_thermal(nbar, dim=DEFAULT_DIM) -> DensityOp:
+    """Thermal state, diagonal (1 - q) q^n with q = nbar/(nbar + 1), renormalized; nbar finite, >= 0."""
+    nbar = float(nbar)
+    if not 0 <= nbar < np.inf:
+        raise ValueError("nbar must be finite and >= 0")
+    if nbar == 0:
         return make_number(0, dim).density()
-    q = np.exp(-params.lam)
+    q = np.exp(-np.log1p(1.0 / nbar))
     p = (1 - q) * q ** np.arange(dim)
-    _check_tail(p, "make_thermal", allow_truncation)
+    _check_tail(p, "make_thermal")
     p /= np.sum(p)
     return DensityOp(np.diag(p.astype(complex)), validate=False)
 

@@ -65,20 +65,11 @@ CHUNK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
-class OrderParam:
-    """Ordering parameter s of the quasidistribution family (s <= 0)."""
-
-    s: float
-
-    def __post_init__(self):
-        if self.s > 0:
-            raise ValueError("s > 0 distributions are singular and rejected")
-
-
-@dataclass(frozen=True)
 class PhaseGrid:
     """Uniform rectangular grid in the quadrature plane (nu1, nu2).
 
+    Axis k spans center_k +- extent[k] in resolution[k] samples; each
+    half-width must be finite and > 0, and each axis needs >= 2 samples.
     values[i, j] corresponds to (axis1[i], axis2[j]) — row-major in nu1.
     """
 
@@ -91,6 +82,8 @@ class PhaseGrid:
         n1, n2 = self.resolution
         if n1 < 2 or n2 < 2:
             raise ValueError("grid needs at least 2 samples per axis")
+        if not all(0 < x < np.inf for x in self.extent):
+            raise ValueError("grid extent must be finite and > 0")
 
     @property
     def axis1(self):
@@ -537,10 +530,9 @@ def husimi(state, alpha) -> float:
     return float(husimi_values(state, np.array(_as_complex(alpha))))
 
 
-def s_quasidist(state, order, alpha) -> float:
-    """s-ordered quasidistribution W^(s)(alpha), s <= 0: the scalar form of squasi_values."""
-    s = order.s if isinstance(order, OrderParam) else float(order)
-    return float(squasi_values(state, s, np.array(_as_complex(alpha))))
+def s_quasidist(state, s, alpha) -> float:
+    """W^(s)(alpha) for a float s <= 0 (0: Wigner, -1: Husimi): the scalar form of squasi_values."""
+    return float(squasi_values(state, float(s), np.array(_as_complex(alpha))))
 
 
 def wigner_grid(state, grid: PhaseGrid) -> PhaseGrid:

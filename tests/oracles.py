@@ -199,8 +199,8 @@ def average_channel_displaced(state, t, nodes, out_dim):
 def channel_fidelity(state, rho_out):
     """<psi| rho |psi> with automatic padding to the larger truncation."""
     dim = max(state.dim, rho_out.dim)
-    c = state.padded(dim).coeffs
-    m = rho_out.padded(dim).matrix
+    c = padded_state(state, dim).coeffs
+    m = padded_state(rho_out, dim).matrix
     return float(np.real(np.vdot(c, m @ c)))
 
 
@@ -673,12 +673,12 @@ def random_avg_fidelity_mp(dim, t, digits=40) -> float:
         return float(total / (dim * (dim + 1)))
 
 
-def quadrature_curve(state, ts, form=4, label=""):
+def quadrature_curve(state, ts, form=4):
     """FidelityCurve of fidelity_quadrature(state, t, form) over ts."""
     from subplanck.fidelity import FidelityCurve, fidelity_quadrature
 
     f = np.array([fidelity_quadrature(state, t, form) for t in ts])
-    return FidelityCurve(np.asarray(ts, float), f, state=label, method=f"form{form}")
+    return FidelityCurve(np.asarray(ts, float), f)
 
 
 def padded_state(state, dim):

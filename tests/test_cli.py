@@ -140,6 +140,21 @@ MALFORMED = {
                          "--out-prefix", "{tmp}/e"],
     "nan t": ["teleport-mc", "--state", "coherent", "--t", "nan", "--out", "{tmp}/m.csv"],
     "nan state parameter": ["scales", "--state", "coherent:nu1=nan"],
+    "nan grid extent": ["grid", "--state", "coherent", "--grid-res", "9",
+                        "--grid-extent", "nan", "--out", "{tmp}/g.csv"],
+    "infinite grid extent": ["grid", "--state", "coherent", "--grid-res", "9",
+                             "--grid-extent", "inf", "--out", "{tmp}/g.csv"],
+    "zero evolve grid points": ["evolve", "--t-final", "0.01", "--dt", "0.001",
+                                "--grid-points", "0", "--out-prefix", "{tmp}/e"],
+    "infinite t-final": ["evolve", "--t-final", "inf", "--dt", "0.001",
+                         "--out-prefix", "{tmp}/e"],
+    "negative t-final": ["evolve", "--t-final", "-1", "--dt", "0.001",
+                         "--out-prefix", "{tmp}/e"],
+    "nan x0": ["evolve", "--t-final", "0.01", "--dt", "0.001", "--x0", "nan",
+               "--out-prefix", "{tmp}/e"],
+    "infinite evolve grid max": ["evolve", "--t-final", "0.01", "--dt", "0.001",
+                                 "--grid-max", "inf", "--out-prefix", "{tmp}/e"],
+    "nan dt": ["evolve", "--t-final", "0.01", "--dt", "nan", "--out-prefix", "{tmp}/e"],
 }
 
 

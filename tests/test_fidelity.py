@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     compass_slope_factor,
     number_fidelity_mp,
+    padded_state,
     quadrature_curve,
     random_avg_fidelity_mp,
     random_avg_fidelity_series,
@@ -20,7 +21,6 @@ from subplanck import (
     FidelityCurve,
     PureState,
     QuadratureError,
-    SqueezeParam,
     average_channel,
     classical_fidelity,
     coherent_fidelity,
@@ -48,20 +48,12 @@ from subplanck.quadrature import gauss_laguerre_scaled
 
 
 class TestSqueezeParam:
-    def test_r_mapping(self):
-        sp = SqueezeParam(2.0)
-        assert sp.r == pytest.approx(0.0)
-        assert SqueezeParam.from_r(1.0).t == pytest.approx(2 * np.exp(-2))
-        assert sp.in_relevant_range and not SqueezeParam(2.5).in_relevant_range
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            SqueezeParam(-0.1)
+            as_t(-0.1)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, t):
-        with pytest.raises(ValueError):
-            SqueezeParam(t)
         with pytest.raises(ValueError):
             as_t(t)
         with pytest.raises(ValueError):
@@ -159,7 +151,7 @@ class TestQuadratureForms:
         # the D = 420 rules reach x ~ 1680, where the radial start e^(-x/2) underflows
         st = make_random(420, seed=1)
         rho = average_channel(st, 0.02)
-        psi = st.padded(rho.dim).coeffs
+        psi = padded_state(st, rho.dim).coeffs
         exact = float(np.real(np.vdot(psi, rho.matrix @ psi)))
         assert abs(fidelity_quadrature(st, 0.02, 4) - exact) <= 1e-13
 

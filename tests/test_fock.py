@@ -14,7 +14,6 @@ from subplanck import (
     ComplexAmplitude,
     DensityOp,
     PureState,
-    ThermalParams,
     TruncationError,
     TruncationWarning,
     displacement_element,
@@ -180,7 +179,6 @@ class TestCoherent:
         with pytest.raises(TruncationError) as err:
             make_coherent(ComplexAmplitude(6.0, 0.0), 12)
         assert err.value.tail > 1e-10
-        make_coherent(ComplexAmplitude(6.0, 0.0), 12, allow_truncation=True)
 
 
 class TestNumber:
@@ -298,20 +296,14 @@ class TestThermal:
             purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
             assert purity == pytest.approx(1.0 / (2 * nbar + 1), abs=1e-8)
 
-    def test_params_consistency(self):
-        p = ThermalParams.from_nbar(1.0)
-        assert p.lam == pytest.approx(np.log(2))
-        with pytest.raises(ValueError):
-            ThermalParams(1.0, 3.0)
-
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             make_thermal(2.0, 16)
 
-    @pytest.mark.parametrize("nbar", [np.nan, np.inf])
+    @pytest.mark.parametrize("nbar", [np.nan, np.inf, -1.0])
     def test_non_finite_nbar_rejected(self, nbar):
         with pytest.raises(ValueError, match="finite"):
-            ThermalParams.from_nbar(nbar)
+            make_thermal(nbar)
 
 
 class TestQuadMoments:

@@ -26,7 +26,6 @@ import subplanck.phasespace as phasespace_module
 from subplanck import (
     ComplexAmplitude,
     DensityOp,
-    OrderParam,
     PureState,
     QuadratureError,
     char_fn,
@@ -129,7 +128,7 @@ class TestStateDiagonals:
         z = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         states = dict(
             catalog,
-            overpadded=make_random(20, seed=3).padded(60),
+            overpadded=padded_state(make_random(20, seed=3), 60),
             compass35=make_compass(3.5355, 96),  # offsets d != 0 mod 4 are all skipped
             thermal=make_thermal(1.0, 64),
             rank3=DensityOp(z @ z.conj().T / np.sum(np.abs(z) ** 2)),
@@ -146,7 +145,7 @@ class TestStateDiagonals:
 class TestSOrderedChar:
     def test_positive_order_rejected(self):
         with pytest.raises(ValueError):
-            OrderParam(0.5)
+            s_quasidist(make_number(0, 8), 0.5, ComplexAmplitude(0, 0))
 
 
 class TestWigner:
@@ -255,13 +254,13 @@ class TestSQuasidist:
     def test_s_zero_is_wigner(self, catalog):
         st = catalog["number1"]
         a = ComplexAmplitude(0.4, 0.6)
-        assert s_quasidist(st, OrderParam(0.0), a) == pytest.approx(wigner(st, a))
+        assert s_quasidist(st, 0.0, a) == pytest.approx(wigner(st, a))
 
     def test_antinormal_matches_husimi(self, catalog):
         a = ComplexAmplitude(0.3, 0.7)
         for name in ("vacuum", "coherent", "compass"):
             st = catalog[name]
-            got = s_quasidist(st, OrderParam(-1.0), a)
+            got = s_quasidist(st, -1.0, a)
             assert got == pytest.approx(husimi(st, a), abs=1e-6)
 
     def test_vacuum_gaussian_convolution(self):
@@ -271,7 +270,7 @@ class TestSQuasidist:
         a = ComplexAmplitude(0.5, -0.4)
         for t in (0.3, 0.7, 1.0):
             want = 2 / np.pi / (1 + t) * np.exp(-2 * a.abs2 / (1 + t))
-            assert s_quasidist(vac, OrderParam(-t), a) == pytest.approx(want, abs=1e-9)
+            assert s_quasidist(vac, -t, a) == pytest.approx(want, abs=1e-9)
 
     def test_closed_kernel_agrees_with_smoothing(self, catalog):
         st = catalog["compass"]
