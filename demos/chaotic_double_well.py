@@ -66,7 +66,7 @@ except ImportError:
     raise SystemExit(0)  # the data work is done; the figure is optional
 
 from subplanck import square_grid
-from subplanck.phasespace import wigner_values
+from subplanck.phasespace import wigner_grid
 
 fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 3.8))
 ax1.plot(final.x, np.abs(final.samples) ** 2, lw=0.7)
@@ -84,7 +84,7 @@ fig.savefig(os.path.join(OUT, "chaotic_overlay.png"), dpi=150)
 print("wrote", os.path.join(OUT, "chaotic_overlay.png"))
 
 g = square_grid(16.0, 256)
-w = np.pi / 2 * wigner_values(state, g.points())
+w = np.pi / 2 * wigner_grid(state, g).values
 plt.figure(figsize=(4.6, 4))
 lim = np.max(np.abs(w))
 plt.imshow(w.T[::-1], extent=[-16, 16, -16, 16], cmap="RdBu_r", vmin=-lim, vmax=lim)

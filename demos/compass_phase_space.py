@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from subplanck import make_compass, scale_report, square_grid
-from subplanck.phasespace import char_values, husimi_values, wigner_values
+from subplanck.phasespace import char_grid, husimi_grid, wigner_grid
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -29,10 +29,10 @@ wide = square_grid(8.0, 384)
 tight = square_grid(1.2, 192)
 
 panels = {
-    "char_sq": np.abs(char_values(state, square_grid(18.0, 384).points())) ** 2,
-    "wigner": np.pi / 2 * wigner_values(state, wide.points()),
-    "wigner_zoom": np.pi / 2 * wigner_values(state, tight.points()),
-    "husimi": np.pi * husimi_values(state, wide.points()),
+    "char_sq": np.abs(char_grid(state, square_grid(18.0, 384)).values) ** 2,
+    "wigner": np.pi / 2 * wigner_grid(state, wide).values,
+    "wigner_zoom": np.pi / 2 * wigner_grid(state, tight).values,
+    "husimi": np.pi * husimi_grid(state, wide).values,
 }
 for name, vals in panels.items():
     np.save(os.path.join(OUT, f"compass_{name}.npy"), vals)

@@ -46,6 +46,7 @@ from .phasespace import (
     overlap,
     s_quasidist,
     square_grid,
+    squasi_grid,
     wigner,
     wigner_grid,
 )

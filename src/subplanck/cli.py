@@ -60,11 +60,11 @@ from .fock import (
 from .mixedstate import entanglement_fidelity
 from .phasespace import (
     PhaseGrid,
-    char_values,
+    char_grid,
     default_grid,
-    husimi_values,
-    squasi_values,
-    wigner_values,
+    husimi_grid,
+    squasi_grid,
+    wigner_grid,
 )
 from .protocol import OutcomeSampler, mc_average
 from .dynamics import (
@@ -312,15 +312,14 @@ def cmd_grid(args):
                          (res, res))
     else:
         grid = default_grid(state, resolution=res)
-    pts = grid.points()
     if args.function == "wigner":
-        vals = (np.pi / 2.0) * wigner_values(state, pts)
+        vals = (np.pi / 2.0) * wigner_grid(state, grid).values
         label, title = "(pi/2) W", f"Wigner, {spec.descriptor}"
     elif args.function == "husimi":
-        vals = np.pi * husimi_values(state, pts)
+        vals = np.pi * husimi_grid(state, grid).values
         label, title = "pi Q", f"Husimi, {spec.descriptor}"
     else:  # charsq (argparse choices)
-        vals = np.abs(char_values(state, pts)) ** 2
+        vals = np.abs(char_grid(state, grid).values) ** 2
         label, title = "|Phi|^2", f"characteristic (squared), {spec.descriptor}"
     header = {
         "state": spec.descriptor,
@@ -353,7 +352,7 @@ def cmd_teleport_mc(args):
     sampler = OutcomeSampler(state, args.t)
     result = mc_average(state, args.t, args.samples, rng, sampler=sampler)
     # the averaged output's Wigner function: Phi_out = e^{-t|mu|^2/2} Phi_in, so W_out = W_in^(-t)
-    w_avg = squasi_values(state, -args.t, result.grid.points())
+    w_avg = squasi_grid(state, -args.t, result.grid).values
     l1 = float(np.sum(np.abs(result.grid.values - w_avg)) * result.grid.cell_measure)
     rows = [
         (k, x1, x2, f)

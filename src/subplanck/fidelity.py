@@ -148,7 +148,10 @@ def max_fidelity_bound(t) -> float:
 
 
 def squeezed_fidelity(u, t) -> float:
+    """Closed form for squeezing u (u = +-inf gives the limit 0; NaN is refused)."""
     t = as_t(t)
+    if np.isnan(u):
+        raise ValueError("u must not be NaN")
     return 1.0 / np.sqrt(1.0 + t * np.cosh(2.0 * u) + t * t / 4.0)
 
 
@@ -182,7 +185,7 @@ def compass_fidelity(a, t) -> float:
     """
     t = as_t(t)
     a = float(a)
-    if a < 0:
+    if not a >= 0:  # NaN fails too
         raise ValueError("a must be >= 0")
     big_a = a * a
     base = 1.0 / (4.0 * (1.0 + t / 2.0))

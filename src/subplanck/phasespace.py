@@ -16,15 +16,17 @@ quadrature, because every coefficient's integrand is e^{-u^2-v^2} times a
 polynomial of degree <= 4D - 4 per axis (Cahill & Glauber, Phys. Rev. 177,
 1882 (1969) for the s-ordered family).  An evaluation builds Hermite tables
 on the points' real and imaginary coordinates and contracts them with the
-K x K matrix.  The point set itself picks the form: a 2-D array laid out as
-a grid (every PhaseGrid and row block) is a tensor product of its axes and
-costs K^2 n_y + K n_x n_y; any other set, 0-d and 1-d points included, is
-scattered and costs K^2 + K per point.  Tables hold at most CHUNK_ELEMENTS
-values, products run on fixed coordinate tiles (so values do not depend on
-chunking), and product operands hold no magnitudes below 1e-100.  C~ costs
-O(D K^2) plus three K^3 products to build and is rebuilt on every public
-call; for a few points on a large-support state (about 0.7 s at D = 296) that
-is dearer than a per-point radial kernel, for grids it is far cheaper.
+K x K matrix.  A PhaseGrid (`*_grid`) hands its two axes straight to the
+tensor-product form, which costs K^2 n_y + K n_x n_y and builds no point
+mesh.  Point arrays pick the form by layout: one laid out as a grid (a mesh
+or a row block) takes the same tensor product, and any other set, 0-d and
+1-d points included, is scattered and costs K^2 + K per point.  Tables hold
+at most CHUNK_ELEMENTS values, products run on fixed coordinate tiles (so
+values do not depend on chunking), and product operands hold no magnitudes
+below 1e-100.  C~ costs O(D K^2) plus three K^3 products to build and is
+rebuilt on every public call; for a few points on a large-support state
+(about 0.7 s at D = 296) that is dearer than a per-point radial kernel, for
+grids it is far cheaper.
 
 The same matrices give pi int (W^(s))^2 and int |grad W|^2 exactly, as
 Frobenius norms (`squasi_purity`, `wigner_gradient_norm`), and the overlap
@@ -270,6 +272,19 @@ def _tensor_values(mats, xs, ys):
     return out
 
 
+def _grid_axes(grid):
+    """Re grid.points() down axis 1 and Im along axis 2, bit-equal (axis / sqrt 2 is not)."""
+    a1, a2 = grid.axis1, grid.axis2
+    return ((a1 + 1j * a2[0]) / np.sqrt(2.0)).real, ((a1[0] + 1j * a2) / np.sqrt(2.0)).imag
+
+
+def _grid_values(mats, grid, scale=1.0):
+    """_separable_values at scale * grid.points(), from the grid's two axes: no mesh."""
+    x, y = _grid_axes(grid)
+    n1, n2 = grid.resolution
+    return np.ascontiguousarray(_tensor_values(mats, scale * x, scale * y)[:, :n1, :n2])
+
+
 def _scattered_values(mats, x, y):
     """out[r, p] = sum_ab mats[r, a, b] h_a(x[p]) h_b(y[p]), per-point dot products."""
     count, cols = mats.shape[-1], _TILE_COLS
@@ -287,8 +302,8 @@ def _separable_values(mats, x, y):
     """sum_ab mats[r, a, b] h_a(x) h_b(y) at every point, stacked over r.
 
     The layout picks the evaluation.  A 2-D array whose rows share a first
-    coordinate and whose columns share a second (every PhaseGrid and row
-    block) is a tensor product of its axes and costs K^2 n_y + K n_x n_y;
+    coordinate and whose columns share a second (a mesh or row block) is a
+    tensor product of its axes and costs K^2 n_y + K n_x n_y;
     any other point set costs one K^2 product row and a dot product per
     point.
     """
@@ -400,14 +415,26 @@ def wigner_gradient_norm(state) -> float:
     return (float(np.sum((delta @ c) ** 2)) + float(np.sum((c @ delta.T) ** 2))) / 2.0
 
 
+def _check_order(s):
+    """Refuse an order s that is not finite or is > 0 (singular distributions)."""
+    if not -np.inf < s <= 0:  # NaN fails too
+        raise ValueError("s must be finite and <= 0; s > 0 distributions are singular")
+
+
 def squasi_values(state, s, points):
     """W^(s) (s <= 0) at complex points, by the separable Hermite kernel.
 
     W^(s)(a) = (2/sqrt pi) sum_ik (T^T C~ T)_ik h_i(2 sqrt(eta) Re a) h_k(2 sqrt(eta) Im a).
     """
-    if s > 0:
-        raise ValueError("s > 0 distributions are singular and rejected")
+    _check_order(s)
     return _squasi_from(_coefficient_matrix(state), s, points)
+
+
+def squasi_grid(state, s, grid: PhaseGrid) -> PhaseGrid:
+    """W^(s) (s <= 0) on a grid: squasi_values at grid.points(), bit for bit, without the mesh."""
+    _check_order(s)
+    mat = _smoothed_matrix(_coefficient_matrix(state), s)
+    return grid.with_values(_grid_values(mat[None], grid, 2.0 / np.sqrt(1.0 - s))[0])
 
 
 def _squasi_from(c, s, points):
@@ -422,16 +449,20 @@ def wigner_values(state, points):
     return squasi_values(state, 0.0, points)
 
 
-def char_values(state, points):
-    """Characteristic function tr[rho D(mu)] = sqrt(pi) sum_jk C~_jk i^{j-k} h_j(Im mu) h_k(Re mu)."""
+def _char_matrices(state):
+    """The real and imaginary parts of sqrt(pi) C~_jk i^{j-k}, each transposed to [k, j]."""
     c = np.sqrt(np.pi) * _coefficient_matrix(state)
     k = c.shape[0]
     d = (np.arange(k)[:, None] - np.arange(k)[None, :]) % 4  # i^{j-k} = 1, i, -1, -i
     mats = np.stack([np.choose(d, [1.0, 0.0, -1.0, 0.0]) * c, np.choose(d, [0.0, 1.0, 0.0, -1.0]) * c])
     # transposed to [k, j], so the first coordinate is Re mu
-    mats = _floored(np.swapaxes(mats, 1, 2).copy())
+    return _floored(np.swapaxes(mats, 1, 2).copy())
+
+
+def char_values(state, points):
+    """Characteristic function tr[rho D(mu)] = sqrt(pi) sum_jk C~_jk i^{j-k} h_j(Im mu) h_k(Re mu)."""
     pts = np.asarray(points, dtype=complex)
-    vals = _separable_values(mats, pts.real, pts.imag)
+    vals = _separable_values(_char_matrices(state), pts.real, pts.imag)
     return vals[0] + 1j * vals[1]
 
 
@@ -536,7 +567,7 @@ def s_quasidist(state, s, alpha) -> float:
 
 
 def wigner_grid(state, grid: PhaseGrid) -> PhaseGrid:
-    return grid.with_values(wigner_values(state, grid.points()))
+    return squasi_grid(state, 0.0, grid)
 
 
 _default_wigner_cache = weakref.WeakKeyDictionary()
@@ -555,11 +586,15 @@ def cached_default_wigner(state, resolution=256) -> PhaseGrid:
 
 
 def husimi_grid(state, grid: PhaseGrid) -> PhaseGrid:
+    """husimi_values at grid.points(): Horner for a pure state, else squasi_grid at s = -1."""
+    if not isinstance(state, PureState):
+        return squasi_grid(state, -1.0, grid)
     return grid.with_values(husimi_values(state, grid.points()))
 
 
 def char_grid(state, grid: PhaseGrid) -> PhaseGrid:
-    return grid.with_values(char_values(state, grid.points()))
+    vals = _grid_values(_char_matrices(state), grid)
+    return grid.with_values(vals[0] + 1j * vals[1])
 
 
 @dataclass(frozen=True)

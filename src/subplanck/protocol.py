@@ -59,6 +59,7 @@ from .phasespace import (
     _smoothed_matrix,
     _squasi_from,
     fftconvolve,  # not called here; bench/tracer.py wraps protocol.fftconvolve
+    squasi_grid,
     squasi_values,
     state_diagonals,
 )
@@ -177,7 +178,7 @@ def _density_grid(state, t, resolution=512):
     mx, mp, vx, vp = quad_moments(state)
     hw = DENSITY_GRID_SIGMAS * np.sqrt(max(vx, vp) - s / 2.0)
     grid = PhaseGrid(ComplexAmplitude(mx, mp), (hw, hw), (resolution, resolution))
-    return grid.with_values(squasi_values(state, s, grid.points()))
+    return squasi_grid(state, s, grid)
 
 
 def alice_outcome_density(state, t, xi) -> float:
@@ -187,18 +188,22 @@ def alice_outcome_density(state, t, xi) -> float:
 
 
 class OutcomeSampler:
-    """Inverse-CDF sampler over a grid of p(xi) = W^(s_t)(xi) (default 512 x 512)."""
+    """Inverse-CDF sampler over a grid of p(xi) = W^(s_t)(xi) (default 512 x 512).
+
+    The grid is `squasi_grid` (no point mesh); the CDF is built in place in
+    one array: negative roundoff clipped to 0, cell-weighted, summed, normalized.
+    """
 
     def __init__(self, state, t, resolution=512):
         self.t = t = _positive_t(t, "OutcomeSampler")
         self.grid = _density_grid(state, t, resolution=resolution)
-        p = np.clip(self.grid.values, 0.0, None)
+        p = np.maximum(self.grid.values, 0.0)
         mass = float(np.sum(p) * self.grid.cell_measure)
         if mass < SAMPLER_MIN_MASS:
             raise SamplingError(f"density grid captures mass {mass:.6f} < {SAMPLER_MIN_MASS}")
         self.mass = mass
         p *= self.grid.cell_measure
-        self._cdf = np.cumsum(p.ravel())
+        self._cdf = np.cumsum(p.ravel(), out=p.ravel())
         self._cdf /= self._cdf[-1]
 
     def sample(self, rng, size=1):

@@ -240,6 +240,18 @@ class TestClosedForms:
         assert compass_fidelity(1e6, 2.0) == pytest.approx(1 / 8)
         assert compass_fidelity(40.0, 2.0) == pytest.approx(1 / 8, abs=1e-12)
 
+    def test_nan_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            compass_fidelity(np.nan, 1.0)
+        with pytest.raises(ValueError):
+            squeezed_fidelity(np.nan, 1.0)
+
+    def test_infinite_parameter_limits(self):
+        for t in (0.5, 1.0, 2.0):
+            assert compass_fidelity(np.inf, t) == 1.0 / (4.0 * (1.0 + t / 2.0))
+            assert squeezed_fidelity(np.inf, t) == 0.0
+            assert squeezed_fidelity(-np.inf, t) == 0.0
+
     def test_compass_quadrature_cross_check(self):
         st = make_compass(2.0, 48)
         assert fidelity_quadrature(st, 1.0, 4) == pytest.approx(

@@ -53,6 +53,7 @@ from subplanck.phasespace import (
     char_values,
     fftconvolve,
     husimi_values,
+    squasi_grid,
     squasi_purity,
     squasi_values,
     state_diagonals,
@@ -60,7 +61,7 @@ from subplanck.phasespace import (
     wigner_values,
 )
 from subplanck.fock import hermite_functions
-from subplanck.protocol import average_channel
+from subplanck.protocol import _outcome_order, average_channel
 from subplanck.quadrature import polar_rule
 
 
@@ -282,6 +283,21 @@ class TestSQuasidist:
             via_kernel = float(squasi_values(st, -t, np.array(a.value)))
             assert via_quad == pytest.approx(via_kernel, abs=1e-8)
 
+    @pytest.mark.parametrize("s", [np.nan, -np.inf, np.inf, 0.5])
+    def test_bad_order_rejected(self, s):
+        # no NaN values and no RuntimeWarning: a ValueError from every entry point
+        st, grid = make_number(1, 8), square_grid(2.0, 9)
+        calls = [
+            lambda: s_quasidist(st, s, ComplexAmplitude(0.1, 0.2)),
+            lambda: squasi_values(st, s, np.zeros(3, dtype=complex)),
+            lambda: squasi_grid(st, s, grid),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="finite and <= 0"):
+                    call()
+
     @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
     def test_chunking_does_not_change_values(self, catalog, monkeypatch, s):
         q = np.linspace(-3.0, 3.0, 31)
@@ -485,6 +501,37 @@ class TestGrids:
                 assert west == pytest.approx(
                     wigner(st, ComplexAmplitude(a1, a2)), abs=1e-3
                 )
+
+
+# tile-aligned (256^2, 512^2), ragged (9^2, 37 x 130) and off-centre rectangular grids
+PARITY_GRIDS = [
+    square_grid(5.0, 256),
+    square_grid(6.0, 512),
+    square_grid(2.0, 9),
+    PhaseGrid(ComplexAmplitude(0.0, 0.0), (3.0, 4.5), (37, 130)),
+    PhaseGrid(ComplexAmplitude(0.7, -1.3), (2.5, 3.5), (40, 77)),
+]
+
+
+@pytest.fixture(scope="module", params=["pure", "density"])
+def parity_state(request):
+    st = make_compass(1.5, 32)
+    return st if request.param == "pure" else _rank3(12, 4)
+
+
+class TestGridPointParity:
+    """Each *_grid, from the grid's two axes, equals *_values on grid.points() bit for bit."""
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=lambda g: "x".join(map(str, g.resolution)))
+    def test_grids_match_points(self, parity_state, grid):
+        st, pts = parity_state, grid.points()
+        assert np.array_equal(wigner_grid(st, grid).values, wigner_values(st, pts))
+        assert np.array_equal(char_grid(st, grid).values, char_values(st, pts))
+        assert np.array_equal(husimi_grid(st, grid).values, husimi_values(st, pts))
+        for s in (0.0, -0.5, _outcome_order(1.0)):
+            got = squasi_grid(st, s, grid)
+            assert got.resolution == grid.resolution and got.values.flags.c_contiguous
+            assert np.array_equal(got.values, squasi_values(st, s, pts)), s
 
 
 def _rank3(dim, seed):

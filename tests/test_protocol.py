@@ -337,6 +337,26 @@ class TestSampling:
         with pytest.raises(ValueError):
             OutcomeSampler(coh, 0.0)
 
+    @pytest.mark.parametrize("resolution", [512, 37])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_grid_and_cdf_match_point_path(self, resolution, mixed):
+        # the grid equals squasi_values on its points, and the CDF and mass equal
+        # clip, scale, cumsum and normalize of those values, bit for bit
+        st = make_compass(1.5, 32)
+        st = st.density() if mixed else st
+        t = 0.7
+        sampler = OutcomeSampler(st, t, resolution=resolution)
+        grid = sampler.grid
+        want = squasi_values(st, _outcome_order(t), grid.points())
+        assert np.array_equal(grid.values, want)
+        p = np.clip(want, 0.0, None)
+        mass = float(np.sum(p) * grid.cell_measure)
+        p *= grid.cell_measure
+        cdf = np.cumsum(p.ravel())
+        cdf /= cdf[-1]
+        assert sampler.mass == mass
+        assert np.array_equal(sampler._cdf, cdf)
+
 
 class TestConditionalOutput:
     def test_normalized(self, coh):
