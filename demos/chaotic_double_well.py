@@ -20,6 +20,7 @@ from subplanck import (
     coherent_wavefunction,
     evolve_chaotic,
     fidelity_quadrature,
+    matched_random_dim,
     quad_moments,
     random_avg_fidelity,
     wavefunction_to_fock,
@@ -39,8 +40,7 @@ print(f"projected onto {state.dim} levels, leakage {leakage:.2e}")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     _, _, vx, vp = quad_moments(state)
-cand = np.arange(1, 400)
-matched = int(cand[np.argmin(np.abs((cand**2 + 1) / (cand + 1) - (vx + vp)))])
+matched = matched_random_dim(vx + vp)
 print(f"variance sum {vx + vp:.1f} -> matched random dimension {matched}")
 
 ts = np.linspace(0.2, 2.0, 13)

@@ -57,6 +57,7 @@ from .fidelity import (
     coherent_fidelity,
     compass_fidelity,
     fidelity_quadrature,
+    matched_random_dim,
     max_fidelity_bound,
     number_fidelity,
     random_avg_fidelity,

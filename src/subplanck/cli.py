@@ -40,6 +40,7 @@ from .fidelity import (
     coherent_fidelity,
     compass_fidelity,
     fidelity_quadrature,
+    matched_random_dim,
     number_fidelity,
     random_avg_fidelity,
     scale_report,
@@ -435,8 +436,7 @@ def cmd_evolve(args):
         warnings.simplefilter("ignore")
         _, _, vx, vp = quad_moments(state)
     target = vx + vp
-    cand = np.arange(1, 400)
-    matched = int(cand[np.argmin(np.abs((cand**2 + 1.0) / (cand + 1.0) - target))])
+    matched = matched_random_dim(target)
     rows = []
     for t in ts:
         rows.append((

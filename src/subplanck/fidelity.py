@@ -148,10 +148,12 @@ def max_fidelity_bound(t) -> float:
 
 
 def squeezed_fidelity(u, t) -> float:
-    """Closed form for squeezing u (u = +-inf gives the limit 0; NaN is refused)."""
+    """Closed form for squeezing u (u = +-inf gives the limit 0 at t > 0; NaN is refused)."""
     t = as_t(t)
     if np.isnan(u):
         raise ValueError("u must not be NaN")
+    if t == 0:
+        return 1.0
     return 1.0 / np.sqrt(1.0 + t * np.cosh(2.0 * u) + t * t / 4.0)
 
 
@@ -233,6 +235,19 @@ def random_slope_avg(dim) -> float:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return -(dim * dim + 1.0) / (2.0 * (dim + 1.0))
+
+
+def matched_random_dim(variance_sum) -> int:
+    """The dim >= 1 whose ensemble slope -(dim^2 + 1)/(2 (dim + 1)) is nearest -v/2.
+
+    v = Var x + Var p gives a state's dF/dt = -v/2 at t = 0.  (d^2 + 1)/(d + 1)
+    grows for d >= 1, so the nearest d is the floor or the ceiling of the root
+    (v + sqrt(v^2 + 4v - 4))/2; a tie goes to the smaller d.
+    """
+    v = float(variance_sum)
+    root = (v + np.sqrt(max(v * v + 4.0 * v - 4.0, 0.0))) / 2.0
+    cand = np.array([max(1.0, np.floor(root)), max(1.0, np.ceil(root))])
+    return int(cand[np.argmin(np.abs((cand**2 + 1.0) / (cand + 1.0) - v))])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ through log-gammas, and points whose start e^{-x/2} would underflow
 One private kernel, `_m_seq`, runs that recurrence along n for all
 requested offsets d and all points at once, yielding one slab
 M_n[d, point] per step.  It is the package's only Laguerre recurrence:
-every radial sum (displacement matrices, the characteristic function on
-polar nodes, the entanglement fidelities) and the Gauss-Laguerre weights
+every radial sum (square displacement matrices, the characteristic function
+on polar nodes, the entanglement fidelities) and the Gauss-Laguerre weights
 of `quadrature` contract its slabs, so a call costs as many Python steps
 as the longest diagonal it needs; the recurrence coefficients are
 tabulated once per call (per block of steps), so a step costs five
@@ -344,38 +344,32 @@ def displacement_element(m, n, mu) -> complex:
     return complex(mag * np.conj(phase) * (-1) ** d)
 
 
-def displacement_matrices(dim, mus, rows=None) -> np.ndarray:
-    """Stack of matrices <m|D(mu)|n>, m < rows (default dim), n < dim.
+def displacement_matrices(dim, mus) -> np.ndarray:
+    """Stack of matrices <m|D(mu)|n>, m, n < dim.
 
-    Shape (len(mus), rows, dim).  One radial-kernel pass fills every
+    Shape (len(mus), dim, dim).  One radial-kernel pass fills every
     offset: <n+d|D|n> = e^{+i d phi} M_n^(d) and <n|D|n+d> =
-    (-1)^d e^{-i d phi} M_n^(d), mu = |mu| e^{i phi}.
+    (-1)^d e^{-i d phi} M_n^(d), mu = |mu| e^{i phi}.  A slice of a larger
+    one, `displacement_matrix(R, mu)[:, :dim]`, displaces dim levels into R.
     """
-    if rows is None:
-        rows = dim
     mus = np.asarray(mus, dtype=complex).ravel()
     x = np.abs(mus) ** 2
     with np.errstate(invalid="ignore"):
         unit = np.where(x > 0, mus / np.where(x > 0, np.abs(mus), 1.0), 1.0)
-    ds = np.arange(max(rows, dim))
-    counts = np.maximum(np.minimum(rows, dim - ds), np.minimum(rows - ds, dim))
-    mags = np.zeros((mus.size, rows, dim))
-    for n, slab in enumerate(_m_seq(ds, counts, x)):
-        if n < rows:  # <n|D|n+d>, d >= 0
-            hi = min(slab.shape[0], dim - n)
-            mags[:, n, n : n + hi] = slab[:hi].T
-        if n < dim:  # <n+d|D|n>, d >= 1
-            lo = min(slab.shape[0], rows - n)
-            mags[:, n + 1 : n + lo, n] = slab[1:lo].T
-    offset = np.arange(rows)[:, None] - np.arange(dim)[None, :]
-    below = _unit_powers(unit, rows).T[:, np.clip(offset, 0, None)]
+    ds = np.arange(dim)
+    mags = np.zeros((mus.size, dim, dim))
+    for n, slab in enumerate(_m_seq(ds, dim - ds, x)):
+        mags[:, n, n:] = slab.T  # <n|D|n+d>, d >= 0
+        mags[:, n + 1 :, n] = slab[1:].T  # <n+d|D|n>, d >= 1
+    offset = ds[:, None] - ds[None, :]
+    below = _unit_powers(unit, dim).T[:, np.clip(offset, 0, None)]
     above = _unit_powers(-np.conj(unit), dim).T[:, np.clip(-offset, 0, None)]
     return mags * np.where(offset >= 0, below, above)
 
 
-def displacement_matrix(dim, mu, rows=None) -> np.ndarray:
-    """Dense matrix <m|D(mu)|n> for m < rows (default dim), n < dim."""
-    return displacement_matrices(dim, [_as_complex(mu)], rows)[0]
+def displacement_matrix(dim, mu) -> np.ndarray:
+    """Dense matrix <m|D(mu)|n> for m, n < dim."""
+    return displacement_matrices(dim, [_as_complex(mu)])[0]
 
 
 # ---------------------------------------------------------------------------

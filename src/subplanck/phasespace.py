@@ -34,14 +34,15 @@ pi int W1 W2 = tr rho1 rho2 as the Frobenius product sum_jk C~1_jk C~2_jk
 (`overlap`).
 
 The characteristic function on polar quadrature nodes (`char_on_polar`)
-keeps the offset-diagonal form: a sum over offsets d of scaled Laguerre
-recurrences from `fock`, one slab over all offsets and nodes per step,
-times angular phases e^{i d phi}.  Those radial rows also give the exact
+keeps the offset-diagonal form: `_offset_rows` sums each kept diagonal
+against the Laguerre slabs of `fock._m_seq` in one pass over all offsets
+and nodes, times angular phases e^{i d phi}.  Those rows also give the exact
 angular mean of |Phi|^2 by Parseval (`_char_sq_radial`), which is all that
 fidelity forms 1 and 4 need: one kernel pass over radial nodes only.
+No `src/` caller reaches `char_on_polar`, `cached_default_wigner` (no
+memo), `gaussian_pair_integral` or its `fftconvolve`: the benchmark pins them.
 """
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,11 +182,11 @@ def trimmed_support(diags) -> int:
     return max(d + w.size for d, w in diags)
 
 
-def _radial_sums(diags, slabs, npts):
-    """A[i] = sum_n w_i[n] R_n[d_i] for diags [(d_i, w_i)], from one kernel pass.
+def _offset_rows(diags, x):
+    """q[i](x) = sum_n w_i[n] M_n^(d_i)(x): Phi = q_0 + sum_{d>0} ((-1)^d e^{-id phi} q_d + c.c.).
 
-    `slabs(ds, counts)` runs the radial kernel on the caller's npts points;
-    rows are handed to it by decreasing length and returned in diags order.
+    One `_m_seq` pass on the 1-D points x; rows are handed to it by
+    decreasing length and returned in diags order.
     """
     counts = np.array([w.size for _, w in diags])
     order = np.argsort(-counts, kind="stable")
@@ -193,17 +194,12 @@ def _radial_sums(diags, slabs, npts):
     weights = np.zeros((len(diags), counts.max()), dtype=complex)
     for row, i in enumerate(order):
         weights[row, : counts[i]] = diags[i][1]
-    acc = np.zeros((len(diags), npts), dtype=complex)
-    for n, slab in enumerate(slabs(ds, counts[order])):
+    acc = np.zeros((len(diags), x.size), dtype=complex)
+    for n, slab in enumerate(_m_seq(ds, counts[order], x)):
         acc[: slab.shape[0]] += weights[: slab.shape[0], n, None] * slab
     out = np.empty_like(acc)
     out[order] = acc
     return out
-
-
-def _offset_rows(diags, x):
-    """q[i](x) = sum_n w_i[n] M_n^(d_i)(x): Phi = q_0 + sum_{d>0} ((-1)^d e^{-id phi} q_d + c.c.)."""
-    return _radial_sums(diags, lambda ds, counts: _m_seq(ds, counts, x), x.size)
 
 
 def _char_sq_radial(diags, x):
@@ -570,19 +566,9 @@ def wigner_grid(state, grid: PhaseGrid) -> PhaseGrid:
     return squasi_grid(state, 0.0, grid)
 
 
-_default_wigner_cache = weakref.WeakKeyDictionary()
-
-
 def cached_default_wigner(state, resolution=256) -> PhaseGrid:
-    """Wigner samples on the state's default grid, memoized per state.
-
-    Keyed weakly on the state object, so the tests' repeated grid sums on
-    one state reuse the grid instead of re-evaluating the kernel.
-    """
-    per_state = _default_wigner_cache.setdefault(state, {})
-    if resolution not in per_state:
-        per_state[resolution] = wigner_grid(state, default_grid(state, resolution=resolution))
-    return per_state[resolution]
+    """Wigner samples on the state's default grid (`default_grid`)."""
+    return wigner_grid(state, default_grid(state, resolution=resolution))
 
 
 def husimi_grid(state, grid: PhaseGrid) -> PhaseGrid:

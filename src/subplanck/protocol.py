@@ -172,7 +172,7 @@ def _outcome_order(t) -> float:
     return -(1.0 + t * t / 4.0) / t
 
 
-def _density_grid(state, t, resolution=512):
+def _density_grid(state, t, resolution):
     """p(xi) = W^(s_t) on a grid sized for the input state plus channel noise."""
     s = _outcome_order(t)
     mx, mp, vx, vp = quad_moments(state)

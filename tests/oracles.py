@@ -191,7 +191,7 @@ def average_channel_displaced(state, t, nodes, out_dim):
     out = np.zeros((out_dim, out_dim), dtype=complex)
     for i, zi in enumerate(z):
         for j, zj in enumerate(z):
-            dmat = displacement_matrix(len(rho_in), scale * (zi + 1j * zj), rows=out_dim)
+            dmat = displacement_matrix(out_dim, scale * (zi + 1j * zj))[:, : len(rho_in)]
             out += (w[i] * w[j]) * (dmat @ rho_in @ dmat.conj().T)
     return out / np.pi
 
@@ -410,12 +410,19 @@ def _ref_phase_series(coef, ds, z):
 
 
 def _ref_angular_accumulate(diags, points, slabs, combine):
-    """Offset sums of a radial kernel on arbitrary complex points, chunked."""
-    from subplanck.phasespace import _radial_sums
+    """Offset sums of a radial kernel on arbitrary complex points, chunked.
 
+    sums[i] = sum_n w_i[n] R_n[d_i] for diags [(d_i, w_i)], from one pass of
+    `slabs(ds, counts, r2)` per chunk with rows by decreasing length.
+    """
     pts = np.asarray(points, dtype=complex)
     flat = pts.ravel()
     ds = np.array([d for d, _ in diags])
+    counts = np.array([w.size for _, w in diags])
+    order = np.argsort(-counts, kind="stable")
+    weights = np.zeros((len(diags), counts.max()), dtype=complex)
+    for row, i in enumerate(order):
+        weights[row, : counts[i]] = diags[i][1]
     out = np.empty(flat.shape, dtype=complex)
     width = max(len(diags), int(np.diff(ds, prepend=0).max()) + 1)
     chunk = max(1, REF_CHUNK_ELEMENTS // width)
@@ -424,7 +431,11 @@ def _ref_angular_accumulate(diags, points, slabs, combine):
         mag = np.abs(p)
         with np.errstate(invalid="ignore"):
             unit = np.where(mag > 0, p / np.where(mag > 0, mag, 1.0), 1.0)
-        sums = _radial_sums(diags, lambda ds, counts: slabs(ds, counts, mag * mag), p.size)
+        acc = np.zeros((len(diags), p.size), dtype=complex)
+        for n, slab in enumerate(slabs(ds[order], counts[order], mag * mag)):
+            acc[: slab.shape[0]] += weights[: slab.shape[0], n, None] * slab
+        sums = np.empty_like(acc)
+        sums[order] = acc
         out[lo : lo + chunk] = combine(sums, ds, unit)
     return out.reshape(pts.shape)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from subplanck import (
     make_rng,
     make_squeezed,
     make_thermal,
+    matched_random_dim,
     max_fidelity_bound,
     number_fidelity,
     random_avg_fidelity,
@@ -252,6 +255,13 @@ class TestClosedForms:
             assert squeezed_fidelity(np.inf, t) == 0.0
             assert squeezed_fidelity(-np.inf, t) == 0.0
 
+    def test_squeezed_at_zero_t_for_large_u(self):
+        # cosh(2u) overflows past |u| ~ 355; t = 0 teleports perfectly for every u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (400.0, -400.0):
+                assert squeezed_fidelity(u, 0.0) == 1.0
+
     def test_compass_quadrature_cross_check(self):
         st = make_compass(2.0, 48)
         assert fidelity_quadrature(st, 1.0, 4) == pytest.approx(
@@ -311,14 +321,27 @@ class TestRandomEnsemble:
         assert random_slope_avg(100) == pytest.approx(-10001 / 202)
 
     def test_slope_monte_carlo(self):
-        import warnings
-
         rng = make_rng(31)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random states own their top level
             slopes = [slope_at_zero(make_random(20, rng=rng)) for _ in range(500)]
         se = np.std(slopes) / np.sqrt(len(slopes))
         assert abs(np.mean(slopes) - random_slope_avg(20)) < 3 * se
+
+    def test_matched_dim_against_argmin(self):
+        # the nearest (d^2 + 1)/(d + 1) by exhaustive argmin over d < 400, ties to the smaller d
+        cand = np.arange(1, 400)
+        f = (cand**2 + 1.0) / (cand + 1.0)
+        vs = np.concatenate([np.linspace(0.0, 398.0, 39801), (f[:-1] + f[1:]) / 2])
+        for lo in range(0, vs.size, 2000):
+            v = vs[lo : lo + 2000]
+            want = cand[np.argmin(np.abs(f - v[:, None]), axis=1)]
+            assert [matched_random_dim(x) for x in v] == want.tolist()
+
+    def test_matched_dim_past_399(self):
+        # (451^2 + 1)/452 = 450.004; the old argmin over d < 400 stopped at 399
+        assert matched_random_dim(450.0) == 451
+        assert matched_random_dim(600.0) == 601
 
 
 class TestSlopeAndScales:
